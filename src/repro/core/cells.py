@@ -22,10 +22,14 @@ import numpy as np
 
 from repro.spatial.grid import GridSpec
 
-__all__ = ["CellGeometry", "h_for_rho", "CellId"]
+__all__ = ["CellGeometry", "h_for_rho", "CellId", "MAX_CELL_COORD"]
 
 #: A cell identifier: the integer grid coordinates of the cell.
 CellId = tuple[int, ...]
+
+#: Largest ``|floor(x / side)|`` the grid accepts: int64, with headroom
+#: for the neighbour offsets and packed keys of the candidate search.
+MAX_CELL_COORD = 2.0**62
 
 
 def h_for_rho(rho: float) -> int:
@@ -98,6 +102,23 @@ class CellGeometry:
         """Integer cell coordinates for each row of ``points`` — ``(n, d)``."""
         pts = np.asarray(points, dtype=np.float64)
         return np.floor(pts / self.side).astype(np.int64)
+
+    def check_range(self, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Raise ``ValueError`` unless every coordinate in ``[lo, hi]``
+        has a cell coordinate ``floor(x / side)`` within
+        :data:`MAX_CELL_COORD` — beyond it the int64 cast in
+        :meth:`cell_ids` would wrap and cluster silently wrong cells."""
+        lo_min = float(np.min(lo))
+        hi_max = float(np.max(hi))
+        with np.errstate(over="ignore"):
+            reach = max(abs(lo_min), abs(hi_max)) / self.side
+        if not reach < MAX_CELL_COORD:
+            raise ValueError(
+                f"eps={self.eps:g} gives cell side {self.side:g}, and the "
+                f"data range [{lo_min:g}, {hi_max:g}] needs cell "
+                f"coordinates up to {reach:.3g}, beyond the int64 grid "
+                f"bound 2**62; use a larger eps or rescale the data"
+            )
 
     def sub_cell_coords(self, points: np.ndarray, cell_ids: np.ndarray) -> np.ndarray:
         """Local sub-cell coordinates of each point within its cell.

@@ -295,6 +295,8 @@ class ClusterState:
                 f"points contain NaN/inf coordinates in {bad} row(s); the "
                 "cell grid requires finite coordinates"
             )
+        if pts.size:
+            self.geometry.check_range(pts.min(), pts.max())
         if pts.shape[0] == 0:
             return IngestReport(
                 num_new_points=0,
@@ -365,16 +367,8 @@ class ClusterState:
             geometry.eps,
             strategy=self.candidate_strategy,
         )
-        dirty = np.unique(
-            np.concatenate(
-                [
-                    finder.candidate_rows(
-                        tuple(int(v) for v in new_dict.cell_ids[row])
-                    )
-                    for row in touched.tolist()
-                ]
-            )
-        )
+        dirty_rows, _ = finder.candidate_rows_batch(new_dict.cell_ids[touched])
+        dirty = np.unique(dirty_rows)
 
         # ---- Phase II, dirty cells only (through the engine) ----------
         dirty_partitions = _partitions_over_cells(

@@ -36,7 +36,7 @@ from repro.core.defragmentation import (
     FlatDefragmentedDictionary,
     defragment,
 )
-from repro.core.dictionary import CellDictionary, FlatCellDictionary
+from repro.core.dictionary import CellDictionary, FlatCellDictionary, index_rows
 from repro.core.partitioning import Partition
 from repro.core.region_query import RegionQueryEngine
 from repro.core.sharding import PartialFlatDictionary
@@ -176,108 +176,88 @@ def build_cell_subgraph(
         raise ValueError("min_pts must be >= 1")
     if graph_layout not in ("flat", "dict"):
         raise ValueError(f"unknown graph_layout {graph_layout!r}")
-    engine = context.engine
-    index_map = context.dictionary.index_map
-    owned = {index_map[cid] for cid in partition.cell_slices}
-    core_mask = np.zeros(partition.num_points, dtype=bool)
-    num_queries = 0
+    dictionary = context.dictionary
+    cell_ids, bounds = partition.cell_table(context.geometry.dim)
+    # Graph vertices are the dictionary's dense cell indices (every
+    # referenced cell is a dictionary cell), which keeps Phase III's
+    # set/dict work cheap; one lookup serves the whole partition.
+    rows = index_rows(dictionary.index_map, cell_ids)
 
-    # First pass: mark core points and core cells.  Graph vertices are
-    # the dictionary's dense cell indices (every referenced cell is a
-    # dictionary cell), which keeps Phase III's set/dict work cheap.
-    core_cells: set[int] = set()
-    touch_by_cell: dict[int, list[int]] = {}
-    for cell_id, (start, stop) in partition.cell_slices.items():
-        pts = partition.points[start:stop]
-        result = engine.query_cell_batch(cell_id, pts)
-        num_queries += pts.shape[0]
-        is_core = result.counts >= float(min_pts)
-        core_mask[start:stop] = is_core
-        if bool(is_core.any()):
-            core_cells.add(index_map[cell_id])
-            # Cells reachable from this cell = union over its core
-            # points of the cells holding their neighbor sub-cells.
-            # Candidate rows *are* the dictionary's dense indices, so no
-            # per-tuple index_map lookups are needed on the hot path.
-            touched = result.touch[is_core].any(axis=0)
-            if result.candidate_rows is not None:
-                touch_by_cell[index_map[cell_id]] = result.candidate_rows[
-                    touched
-                ].tolist()
-            else:
-                touch_by_cell[index_map[cell_id]] = [
-                    index_map[cid]
-                    for j, cid in enumerate(result.candidate_ids)
-                    if touched[j]
-                ]
+    # One sweep answers every point of every cell (lines 8-10), then
+    # marks core points and core cells (lines 11-12).
+    result = context.engine.query_partition(cell_ids, partition.points, bounds)
+    core_mask = result.counts >= float(min_pts)
+    core_rows = rows[np.add.reduceat(core_mask, bounds[:-1]) > 0] if rows.size else rows
 
-    # Second pass: classify owned cells and emit edges.
+    # Edges (lines 13-16): cells reachable from a cell = the candidates
+    # holding a neighbor sub-cell of one of its core points.  Slots
+    # come grouped by cell in partition order, ascending within a cell.
+    touched = result.touched_slots(core_mask)
+    slot_cell = np.repeat(rows, np.diff(result.cand_offsets))
+    src = slot_cell[touched]
+    dst = result.cand_rows[touched]
+    loop = src == dst
+    if loop.any():
+        src, dst = src[~loop], dst[~loop]
+
     if graph_layout == "flat":
         graph: CellGraph | FlatCellGraph = _assemble_flat_subgraph(
-            context.dictionary.num_cells, owned, core_cells, touch_by_cell
+            dictionary.num_cells, rows, core_rows, src, dst
         )
     else:
-        graph = CellGraph()
-        for cell_id in partition.cell_slices:
-            idx = index_map[cell_id]
-            if idx in core_cells:
-                graph.add_core_cell(idx)
-            else:
-                graph.add_noncore_cell(idx)
-        for src, targets in touch_by_cell.items():
-            for dst in targets:
-                if dst == src:
-                    continue
-                if dst in owned:
-                    edge_type = (
-                        EdgeType.FULL if dst in core_cells else EdgeType.PARTIAL
-                    )
-                else:
-                    graph.add_undetermined_cell(dst)
-                    edge_type = EdgeType.UNDETERMINED
-                graph.add_edge(src, dst, edge_type)
+        graph = _assemble_dict_subgraph(rows, core_rows, src, dst)
     return SubgraphResult(
         pid=partition.pid,
         graph=graph,
         core_mask=core_mask,
-        num_queries=num_queries,
+        num_queries=partition.num_points,
     )
+
+
+def _assemble_dict_subgraph(
+    owned_rows: np.ndarray,
+    core_rows: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+) -> CellGraph:
+    """The reference :class:`CellGraph` of one partition: owned cells
+    in partition order, then the edges in sweep order."""
+    graph = CellGraph()
+    core = set(core_rows.tolist())
+    owned = owned_rows.tolist()
+    for idx in owned:
+        if idx in core:
+            graph.add_core_cell(idx)
+        else:
+            graph.add_noncore_cell(idx)
+    owned_set = set(owned)
+    for s, d in zip(src.tolist(), dst.tolist()):
+        if d in owned_set:
+            edge_type = EdgeType.FULL if d in core else EdgeType.PARTIAL
+        else:
+            graph.add_undetermined_cell(d)
+            edge_type = EdgeType.UNDETERMINED
+        graph.add_edge(s, d, edge_type)
+    return graph
 
 
 def _assemble_flat_subgraph(
     n_slots: int,
-    owned: set[int],
-    core_cells: set[int],
-    touch_by_cell: dict[int, list[int]],
+    owned_rows: np.ndarray,
+    core_rows: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
 ) -> FlatCellGraph:
-    """Assemble the columnar subgraph from pass-1 results.
+    """Assemble the columnar subgraph from the sweep's results.
 
-    Vectorized second pass of Algorithm 3: vertex classes land in one
-    int8 status array and edge types come from a single gather of
-    destination ownership/core-ness — the same classification rules as
-    the dict branch, so both layouts carry identical edges.
+    Vertex classes land in one int8 status array and edge types come
+    from a single gather of destination ownership/core-ness — the same
+    classification rules as the dict layout, so both carry identical
+    edges.
     """
     status = np.zeros(n_slots, dtype=np.int8)
-    owned_rows = np.fromiter(owned, dtype=np.int64, count=len(owned))
     status[owned_rows] = V_NONCORE
-    if core_cells:
-        status[np.fromiter(core_cells, dtype=np.int64, count=len(core_cells))] = (
-            V_CORE
-        )
-    src_blocks: list[np.ndarray] = []
-    dst_blocks: list[np.ndarray] = []
-    for src, targets in touch_by_cell.items():
-        dst = np.asarray(targets, dtype=np.int64)
-        dst = dst[dst != src]
-        if dst.size:
-            src_blocks.append(np.full(dst.size, src, dtype=np.int32))
-            dst_blocks.append(dst.astype(np.int32))
-    if src_blocks:
-        src = np.concatenate(src_blocks)
-        dst = np.concatenate(dst_blocks)
-    else:
-        src = np.empty(0, dtype=np.int32)
-        dst = np.empty(0, dtype=np.int32)
+    status[core_rows] = V_CORE
     owned_mask = np.zeros(n_slots, dtype=bool)
     owned_mask[owned_rows] = True
     dst_owned = owned_mask[dst]
@@ -288,4 +268,6 @@ def _assemble_flat_subgraph(
         int(EdgeType.UNDETERMINED),
     ).astype(np.int8)
     status[dst[~dst_owned]] = V_UNDETERMINED
-    return FlatCellGraph.from_arrays(status, src, dst, etype)
+    return FlatCellGraph.from_arrays(
+        status, src.astype(np.int32), dst.astype(np.int32), etype
+    )

@@ -22,7 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.cells import CellGeometry, CellId
-from repro.core.dictionary import CellDictionary, CellSummary, FlatCellDictionary
+from repro.core.dictionary import (
+    CellDictionary,
+    CellSummary,
+    FlatCellDictionary,
+    segment_distinct_counts,
+)
 from repro.spatial.mbr import MBR
 
 __all__ = [
@@ -178,6 +183,7 @@ class DefragmentedDictionary:
                 if cell_id in self._owner:
                     raise ValueError(f"cell {cell_id} in two sub-dictionaries")
                 self._owner[cell_id] = index
+        self._owner_rows: np.ndarray | None = None
         # Query-time statistics (ablation: value of skipping).
         self.queries = 0
         self.subdicts_consulted = 0
@@ -217,6 +223,26 @@ class DefragmentedDictionary:
         self.queries += 1
         self.subdicts_consulted += len(touched)
         return len(touched)
+
+    def record_rows_consulted_batch(
+        self, rows: np.ndarray, offsets: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`record_cells_consulted` for many queries at once.
+
+        ``rows`` are dense dictionary rows (sorted cell order), query
+        ``g`` owning ``rows[offsets[g]:offsets[g + 1]]``; counts one
+        query per segment and returns each one's distinct pieces.
+        """
+        if self._owner_rows is None:
+            self._owner_rows = np.array(
+                [self._owner[cid] for cid in sorted(self._owner)], dtype=np.int64
+            )
+        touched = segment_distinct_counts(
+            self._owner_rows[np.asarray(rows, dtype=np.int64)], offsets
+        )
+        self.queries += touched.size
+        self.subdicts_consulted += int(touched.sum())
+        return touched
 
     def average_consulted(self) -> float:
         """Mean sub-dictionaries consulted per query (1.0 is ideal)."""
@@ -343,10 +369,22 @@ class FlatDefragmentedDictionary:
 
     def record_rows_consulted(self, rows: np.ndarray) -> int:
         """Track which sub-dictionaries a candidate-row set touches."""
-        touched = np.unique(self._owner[np.asarray(rows, dtype=np.int64)])
-        self.queries += 1
-        self.subdicts_consulted += int(touched.size)
-        return int(touched.size)
+        rows = np.asarray(rows, dtype=np.int64)
+        bounds = np.array([0, rows.size], dtype=np.int64)
+        return int(self.record_rows_consulted_batch(rows, bounds)[0])
+
+    def record_rows_consulted_batch(
+        self, rows: np.ndarray, offsets: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`record_rows_consulted` for many queries at once: query
+        ``g``'s candidate rows are ``rows[offsets[g]:offsets[g + 1]]``.
+        Returns each query's distinct sub-dictionary count."""
+        touched = segment_distinct_counts(
+            self._owner[np.asarray(rows, dtype=np.int64)], offsets
+        )
+        self.queries += touched.size
+        self.subdicts_consulted += int(touched.sum())
+        return touched
 
     def record_cells_consulted(self, cell_ids: list[CellId]) -> int:
         """Tuple-keyed twin of :meth:`record_rows_consulted` (API parity

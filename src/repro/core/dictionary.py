@@ -43,6 +43,8 @@ __all__ = [
     "summarize_cell",
     "lex_keys",
     "csr_gather_indices",
+    "segment_distinct_counts",
+    "index_rows",
 ]
 
 
@@ -81,6 +83,24 @@ def csr_gather_indices(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     boundaries = np.cumsum(sizes)[:-1]
     deltas[boundaries] = starts[1:] - (starts[:-1] + sizes[:-1] - 1)
     return np.cumsum(deltas)
+
+
+def segment_distinct_counts(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Number of distinct non-negative ``values`` in each CSR segment.
+
+    Segment ``g`` is ``values[offsets[g]:offsets[g + 1]]``; the result
+    is ``(len(offsets) - 1,)`` int64.  One ``np.unique`` over
+    ``(segment, value)`` keys instead of one per segment.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    n_segments = offsets.shape[0] - 1
+    if values.size == 0:
+        return np.zeros(n_segments, dtype=np.int64)
+    span = int(values.max()) + 1
+    segment = np.repeat(np.arange(n_segments, dtype=np.int64), np.diff(offsets))
+    distinct = np.unique(segment * span + values) // span
+    return np.bincount(distinct, minlength=n_segments).astype(np.int64)
 
 
 @dataclass
@@ -399,6 +419,24 @@ class _FlatIndexMap:
 
     def __len__(self) -> int:
         return self.flat.num_cells
+
+
+def index_rows(index_map, cell_ids: np.ndarray) -> np.ndarray:
+    """Dense rows of the ``(m, d)`` cell ids through either layout's
+    :attr:`index_map` in one lookup — one vectorized binary search on
+    the flat layouts instead of one per cell.  Raises ``KeyError`` for
+    a cell the dictionary does not hold."""
+    ids = np.asarray(cell_ids, dtype=np.int64)
+    if isinstance(index_map, _FlatIndexMap):
+        rows = index_map.flat.find_rows(ids)
+        if np.any(rows < 0):
+            raise KeyError(tuple(int(v) for v in ids[np.argmax(rows < 0)]))
+        return rows
+    return np.fromiter(
+        (index_map[cell] for cell in map(tuple, ids.tolist())),
+        dtype=np.int64,
+        count=ids.shape[0],
+    )
 
 
 class FlatCellDictionary:

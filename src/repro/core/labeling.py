@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.core.cell_graph import CellGraph, EdgeType
 from repro.core.cells import CellId
+from repro.core.dictionary import index_rows
 from repro.core.partitioning import Partition
 from repro.graph.spanning_forest import connected_components
 from repro.spatial.distance import pairwise_distances
@@ -129,16 +130,18 @@ def build_labeling_context(
         predecessors[dst].sort()
 
     predecessor_core_points: dict[int, np.ndarray] = {}
+    needed = np.fromiter(needed_sources, dtype=np.int64, count=len(needed_sources))
     for partition in partitions:
+        if not partition.cell_slices:
+            continue
         mask = core_masks[partition.pid]
-        for cell_id, (start, stop) in partition.cell_slices.items():
-            idx = index_map[cell_id]
-            if idx not in needed_sources:
-                continue
+        rows, bounds = _partition_rows(partition, index_map)
+        for g in np.flatnonzero(np.isin(rows, needed)).tolist():
+            start, stop = int(bounds[g]), int(bounds[g + 1])
             # gather_rows reads just these rows from an out-of-core
             # partition instead of materializing the whole point block.
             core_points = partition.gather_rows(start, stop, mask[start:stop])
-            predecessor_core_points[idx] = core_points
+            predecessor_core_points[int(rows[g])] = core_points
     return LabelingContext(
         eps=eps,
         index_map=index_map,
@@ -146,6 +149,16 @@ def build_labeling_context(
         predecessors=predecessors,
         predecessor_core_points=predecessor_core_points,
     )
+
+
+def _partition_rows(
+    partition: Partition, index_map: dict[CellId, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, bounds)``: the dense row of every cell of ``partition``
+    (one lookup for the partition) and the cells' CSR point bounds."""
+    first = next(iter(partition.cell_slices))
+    cell_ids, bounds = partition.cell_table(len(first))
+    return index_rows(index_map, cell_ids), bounds
 
 
 def label_partition(
@@ -157,14 +170,18 @@ def label_partition(
     into the full label array at ``global_indices``.
     """
     labels = np.full(partition.num_points, NOISE, dtype=np.int64)
+    if not partition.cell_slices:
+        return partition.global_indices, labels
     eps = context.eps
-    for cell_id, (start, stop) in partition.cell_slices.items():
-        cluster = context.cell_labels.get(context.index_map[cell_id])
+    rows, bounds = _partition_rows(partition, context.index_map)
+    for g, row in enumerate(rows.tolist()):
+        start, stop = int(bounds[g]), int(bounds[g + 1])
+        cluster = context.cell_labels.get(row)
         if cluster is not None:
             # Core cell: every point joins the cell's spanning tree.
             labels[start:stop] = cluster
             continue
-        preds = context.predecessors.get(context.index_map[cell_id])
+        preds = context.predecessors.get(row)
         if not preds:
             continue  # Non-core cell with no core predecessor: noise.
         # Only non-core cells with core predecessors ever need their

@@ -69,6 +69,21 @@ class Partition:
         """Number of cells in this partition."""
         return len(self.cell_slices)
 
+    def cell_table(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(cell_ids, offsets)``: the ``(G, d)`` int64 cell ids in
+        :attr:`cell_slices` order and their ``(G + 1,)`` CSR point
+        bounds — the layout a per-partition sweep takes.  Cells own
+        consecutive row ranges in that order (as every constructor
+        here lays them out)."""
+        bounds = np.array(list(self.cell_slices.values()), dtype=np.int64)
+        ids = np.array(list(self.cell_slices), dtype=np.int64).reshape(-1, dim)
+        offsets = np.zeros(ids.shape[0] + 1, dtype=np.int64)
+        if ids.shape[0]:
+            offsets[1:] = bounds[:, 1]
+            if not np.array_equal(bounds[:, 0], offsets[:-1]):
+                raise ValueError("cell slices must be consecutive row ranges")
+        return ids, offsets
+
     def cell_points(self, cell_id: CellId) -> np.ndarray:
         """The ``(n_c, d)`` points of one cell."""
         start, stop = self.cell_slices[cell_id]

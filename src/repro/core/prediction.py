@@ -193,10 +193,16 @@ class ClusterModel:
 
     def predict(self, points: np.ndarray) -> np.ndarray:
         """Labels for ``points``: nearest core's cluster within ``eps``,
-        else ``-1``."""
+        else ``-1``.  Raises ``ValueError`` on NaN/inf coordinates: such
+        a query has no cell, so it has no answer (not even noise)."""
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self._geometry.dim:
             raise ValueError(f"points must be (m, {self._geometry.dim})")
+        if not np.isfinite(pts).all():
+            bad = int(np.count_nonzero(~np.isfinite(pts).all(axis=1)))
+            raise ValueError(
+                f"query points contain NaN/inf coordinates in {bad} row(s)"
+            )
         out = np.full(pts.shape[0], -1, dtype=np.int64)
         table = self._table
         if table.num_cells == 0 or pts.shape[0] == 0:

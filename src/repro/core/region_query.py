@@ -12,18 +12,33 @@ in the query ball contributes all of its sub-cells at once, a *partially
 contained* candidate contributes the sub-cells whose centers pass the
 distance test, and candidates outside the ball are dropped.
 
-Queries are batched per cell: every point of a cell shares the same
-candidate-cell set, so one ``(n_points x n_centers)`` distance matrix
-answers all of a cell's queries — this is the Phase II hot path.
+Queries are answered one partition at a time:
+:meth:`RegionQueryEngine.query_partition` takes a block of points
+grouped by cell and answers every group in one sweep — one batched
+candidate search over all the groups' cells, one vectorized box
+classification of every (point, candidate) pair, one gather of the
+sub-cells of the partially contained candidates, and one dense
+distance block per cell over them.  Its cost follows the distance
+work, not the number of cells.
+:meth:`~RegionQueryEngine.query_cell_batch` is the sweep's one-group
+case.
 
-The batch is answered by one of two interchangeable backends behind the
-``kernel`` switch: the vectorized ``numpy`` path below, or the compiled
-:mod:`repro.kernels` loop (``numba``; ``python`` runs the same loop
-uncompiled).  Candidate search and candidate-box classification are
-shared by every backend — the kernel seam starts *after* the candidate
-set is fixed, which is what keeps it strategy-agnostic (a sampled or
-kNN-graph region-query strategy plugs in above the seam, the kernels
-below it).  All backends are bit-identical; see
+Query contract: a group's points are tested against the candidate cells
+of the group's cell id — the non-empty cells whose box lies within
+``eps`` of that cell's box.  For a point inside that cell this candidate
+set holds every sub-cell center within ``eps`` of it, so its count is
+its full (eps, rho)-neighbor density (Phase II's case).  A point outside
+the group's cell may be queried too; it gets the density of its
+neighbor sub-cells among those candidates only.
+
+The distance work is done by one of two interchangeable backends behind
+the ``kernel`` switch: the vectorized ``numpy`` path below, or the
+compiled :mod:`repro.kernels` loop (``numba``; ``python`` runs the same
+loop uncompiled).  Candidate search and candidate-box classification
+are shared by every backend — the kernel seam starts *after* the
+candidate set is fixed, which is what keeps it strategy-agnostic (a
+sampled or kNN-graph region-query strategy plugs in above the seam, the
+kernels below it).  All backends are bit-identical; see
 :mod:`repro.kernels.phase2` for the floating-point contract.
 """
 
@@ -38,14 +53,32 @@ from repro.core.defragmentation import (
     DefragmentedDictionary,
     FlatDefragmentedDictionary,
 )
-from repro.core.dictionary import CellDictionary, FlatCellDictionary
+from repro.core.dictionary import (
+    CellDictionary,
+    FlatCellDictionary,
+    csr_gather_indices,
+)
 from repro.core.sharding import PartialFlatDictionary
-from repro.kernels import get_impls, resolve_kernel
+from repro.kernels import get_impl, resolve_kernel
 from repro.kernels import warmup as warmup_kernels
 from repro.spatial.cell_index import NeighborCellFinder
 from repro.spatial.distance import seq_squared_distances
 
-__all__ = ["CellBatchQueryResult", "RegionQueryEngine"]
+__all__ = ["CellBatchQueryResult", "PartitionQueryResult", "RegionQueryEngine"]
+
+#: Most (point, candidate) or (point, sub-cell) pairs one step of the
+#: sweep holds at once; bounds the sweep's pair arrays.
+PAIR_BUDGET = 1 << 16
+
+
+def _partial_slots(
+    pair_slot: np.ndarray, partial: np.ndarray, n_slots: int
+) -> np.ndarray:
+    """Ascending candidate slots partially contained for at least one
+    point of a sweep step."""
+    used = np.zeros(n_slots, dtype=bool)
+    used[pair_slot[partial]] = True
+    return np.flatnonzero(used)
 
 
 @dataclass
@@ -78,6 +111,62 @@ class CellBatchQueryResult:
     candidate_rows: np.ndarray | None = None
 
 
+@dataclass
+class PartitionQueryResult:
+    """Answers for a block of points grouped by cell (one sweep).
+
+    Group ``g`` owns points ``point_offsets[g]:point_offsets[g + 1]``
+    and candidate *slots* ``cand_offsets[g]:cand_offsets[g + 1]``; slot
+    ``s`` is dictionary row ``cand_rows[s]``, ascending within a group.
+
+    Attributes
+    ----------
+    counts:
+        ``(n,)`` float64 neighbor densities, aligned with the points.
+    cand_rows, cand_offsets:
+        CSR candidate rows per group.
+    point_offsets:
+        ``(G + 1,)`` CSR point bounds per group.
+    pair_offsets:
+        ``(G + 1,)``: group ``g``'s (point, slot) pairs are
+        ``touch[pair_offsets[g]:pair_offsets[g + 1]]``, row-major
+        ``(n_g, m_g)``.
+    touch:
+        ``(P,)`` bool: the pair's point has a neighbor sub-cell in the
+        slot's cell.
+    """
+
+    counts: np.ndarray
+    cand_rows: np.ndarray
+    cand_offsets: np.ndarray
+    point_offsets: np.ndarray
+    pair_offsets: np.ndarray
+    touch: np.ndarray
+
+    def group_touch(self, group: int) -> np.ndarray:
+        """Group ``group``'s ``(n_g, m_g)`` touch matrix."""
+        n_g = int(self.point_offsets[group + 1] - self.point_offsets[group])
+        m_g = int(self.cand_offsets[group + 1] - self.cand_offsets[group])
+        block = self.touch[self.pair_offsets[group] : self.pair_offsets[group + 1]]
+        return block.reshape(n_g, m_g)
+
+    def touched_slots(self, point_mask: np.ndarray) -> np.ndarray:
+        """``(K,)`` bool per candidate slot: touched by at least one
+        point selected by ``point_mask`` (``(n,)`` bool) of its group —
+        Algorithm 3 line 13's reachability over the core points."""
+        slots = np.zeros(self.cand_rows.shape[0], dtype=bool)
+        m_group = np.diff(self.cand_offsets)
+        # Touched pairs, PAIR_BUDGET at a time: each one's group, then
+        # its point and slot within the group's row-major block.
+        for begin in range(0, self.touch.size, PAIR_BUDGET):
+            pairs = begin + np.flatnonzero(self.touch[begin : begin + PAIR_BUDGET])
+            group = np.searchsorted(self.pair_offsets, pairs, side="right") - 1
+            point, slot = np.divmod(pairs - self.pair_offsets[group], m_group[group])
+            keep = point_mask[self.point_offsets[group] + point]
+            slots[self.cand_offsets[group[keep]] + slot[keep]] = True
+        return slots
+
+
 class RegionQueryEngine:
     """Executes (eps, rho)-region queries over a cell dictionary.
 
@@ -93,10 +182,10 @@ class RegionQueryEngine:
         ``"kdtree"`` (tree over non-empty cell centers), or ``"auto"``
         (enumerate while the offset table stays small).
     kernel:
-        Batch-query backend: ``"numpy"`` (vectorized reference,
-        default), ``"numba"`` (compiled :mod:`repro.kernels` loops;
-        raises :class:`~repro.kernels.KernelUnavailableError` when numba
-        is absent), ``"python"`` (the kernel source uncompiled — the
+        Distance backend: ``"numpy"`` (vectorized reference, default),
+        ``"numba"`` (compiled :mod:`repro.kernels` loop; raises
+        :class:`~repro.kernels.KernelUnavailableError` when numba is
+        absent), ``"python"`` (the kernel source uncompiled — the
         conformance suite's reference), or ``"auto"`` (numba when
         importable, else numpy).  Results are bit-identical across
         backends.
@@ -115,34 +204,23 @@ class RegionQueryEngine:
         strategy: str = "auto",
         kernel: str = "numpy",
     ) -> None:
+        # A defragmented wrapper, or a partial dictionary (its residency
+        # oracle), records which pieces each query consults.
         if isinstance(dictionary, (DefragmentedDictionary, FlatDefragmentedDictionary)):
-            self._defrag = dictionary
+            self._recorder = dictionary
             inner = dictionary.dictionary
         else:
-            self._defrag = None
             inner = dictionary
-        # A partial dictionary exposes the flat columnar query surface
-        # (cell_counts + gather_subcells) over its bounded shard cache,
-        # so it rides the flat hot path unchanged; its per-batch
-        # record_rows_consulted doubles as the residency oracle.
-        self._flat = (
-            inner
-            if isinstance(inner, (FlatCellDictionary, PartialFlatDictionary))
-            else None
-        )
-        self._partial = inner if isinstance(inner, PartialFlatDictionary) else None
-        # Monolithic CSR arrays (flat layout, incl. its defragmented
-        # wrapper) admit the fused kernel; the partial (sharded) and
-        # dict layouts go through the gathered kernel instead.
-        self._csr = inner if isinstance(inner, FlatCellDictionary) else None
+            self._recorder = inner if isinstance(inner, PartialFlatDictionary) else None
         self._dict = inner
         self.kernel = resolve_kernel(kernel)
-        self._impls = get_impls(self.kernel) if self.kernel != "numpy" else None
+        self._impl = get_impl(self.kernel) if self.kernel != "numpy" else None
         self.geometry: CellGeometry = inner.geometry
+        flat = isinstance(inner, (FlatCellDictionary, PartialFlatDictionary))
         # The finder consumes the lexicographically sorted id array, so
         # its rows are the dictionary's dense indices and every candidate
         # list comes back in a deterministic (lexicographic) order.
-        ids = inner.cell_ids if self._flat is not None else inner.cell_ids_array()
+        ids = inner.cell_ids if flat else inner.cell_ids_array()
         self._finder = NeighborCellFinder(
             ids,
             self.geometry.side,
@@ -150,6 +228,31 @@ class RegionQueryEngine:
             strategy=strategy,
         )
         self.strategy = self._finder.strategy
+        # Per-row root densities and sub-cell block sizes, for every
+        # layout; the lists follow the sorted (dense row) order.
+        if flat:
+            self._cell_counts = np.asarray(inner.cell_counts, dtype=np.float64)
+            self._sub_sizes = np.diff(np.asarray(inner.offsets, dtype=np.int64))
+        else:
+            summaries = [inner.cells[tuple(row)] for row in ids.tolist()]
+            self._cell_counts = np.array(
+                [s.count for s in summaries], dtype=np.float64
+            )
+            self._sub_sizes = np.array(
+                [s.num_subcells for s in summaries], dtype=np.int64
+            )
+        # Monolithic CSR arrays (the flat layout, incl. its defragmented
+        # wrapper) are the sub-cell pool itself: a sweep indexes them by
+        # offset and never copies a block.  The sharded and dict layouts
+        # gather the blocks a sweep step needs into a pool instead.
+        if isinstance(inner, FlatCellDictionary):
+            self._csr_pool = (
+                inner.sub_centers,
+                np.asarray(inner.sub_counts, dtype=np.float64),
+                np.asarray(inner.offsets, dtype=np.int64),
+            )
+        else:
+            self._csr_pool = None
 
     # ------------------------------------------------------------------
     # Candidate cells
@@ -166,201 +269,304 @@ class RegionQueryEngine:
     # ------------------------------------------------------------------
 
     def warmup_kernel(self) -> float:
-        """Compile the numba kernels for this engine's dimensionality.
+        """Compile the numba kernel for this engine's dimensionality.
 
         Invoked from the Phase II warm-up hook during broadcast
         installation, so JIT compilation is charged to the
         ``engine.setup`` bucket and never to a phase timing.  Returns
         the seconds spent compiling (0.0 for non-numba backends or when
-        the signatures are already warm).
+        the signature is already warm).
         """
         if self.kernel != "numba":
             return 0.0
         return warmup_kernels(self.geometry.dim)
 
     # ------------------------------------------------------------------
-    # Batched query (Phase II hot path)
+    # The sweep (Phase II hot path)
     # ------------------------------------------------------------------
 
-    def query_cell_batch(self, cell_id: CellId, points: np.ndarray) -> CellBatchQueryResult:
-        """Run the (eps, rho)-region query for every point of one cell.
+    def query_partition(
+        self,
+        cell_ids: np.ndarray,
+        points: np.ndarray,
+        point_offsets: np.ndarray,
+    ) -> PartitionQueryResult:
+        """Run the (eps, rho)-region query for every point of a block.
 
-        ``points`` must all lie in ``cell_id``; the result aligns with
-        the row order of ``points``.
+        ``cell_ids`` is ``(G, d)`` int64; group ``g``'s points are
+        ``points[point_offsets[g]:point_offsets[g + 1]]`` and are tested
+        against the candidates of ``cell_ids[g]`` (see the module
+        docstring for the contract).  Results align with ``points``.
         """
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2:
-            raise ValueError("points must be (n, d)")
-        eps = self.geometry.eps
-        eps2 = eps * eps
-        side = self.geometry.side
-        rows = self._finder.candidate_rows(cell_id)
-        candidate_array = self._finder.cell_ids[rows]
-        candidates = [tuple(row) for row in candidate_array.tolist()]
-        if self._defrag is not None:
-            if isinstance(self._defrag, FlatDefragmentedDictionary):
-                self._defrag.record_rows_consulted(rows)
-            else:
-                self._defrag.record_cells_consulted(candidates)
-        elif self._partial is not None:
-            self._partial.record_rows_consulted(rows)
+        dim = self.geometry.dim
+        cells = np.ascontiguousarray(cell_ids, dtype=np.int64).reshape(-1, dim)
+        pts = np.ascontiguousarray(points, dtype=np.float64)
+        if pts.ndim != 2 or pts.shape[1] != dim:
+            raise ValueError(f"points must be (n, {dim})")
+        bounds = np.asarray(point_offsets, dtype=np.int64)
+        n_groups = cells.shape[0]
         n = pts.shape[0]
-        m = len(candidates)
+        if (
+            bounds.shape != (n_groups + 1,)
+            or bounds[0] != 0
+            or bounds[-1] != n
+            or np.any(np.diff(bounds) < 0)
+        ):
+            raise ValueError("point_offsets must be (G + 1,) CSR bounds over points")
+        cand_rows, cand_offsets = self._finder.candidate_rows_batch(cells)
+        if self._recorder is not None:
+            self._recorder.record_rows_consulted_batch(cand_rows, cand_offsets)
+        m_group = np.diff(cand_offsets)
+        pair_offsets = np.zeros(n_groups + 1, dtype=np.int64)
+        np.cumsum(np.diff(bounds) * m_group, out=pair_offsets[1:])
         counts = np.zeros(n, dtype=np.float64)
-        touch = np.zeros((n, m), dtype=bool)
-        if n == 0 or m == 0:
-            return CellBatchQueryResult(
-                candidate_ids=candidates,
-                counts=counts,
-                touch=touch,
-                candidate_rows=rows,
-            )
-
-        # Candidate-box classification (shared by every backend): the
-        # point-to-box min/max distances split candidates into
-        # fully-contained (Example 5.5 case 1: every sub-cell center is
-        # a neighbor), partially-contained (case 2: test the centers),
-        # and out-of-reach.
-        near, full = self._classify_boxes(pts, candidate_array, side, eps2)
-        if self._flat is not None:
-            cell_counts = self._flat.cell_counts[rows].astype(np.float64)
-        else:
-            cell_counts = np.array(
-                [self._dict.cells[c].count for c in candidates], dtype=np.float64
-            )
-        if self._impls is not None:
-            self._query_kernel(
-                pts, rows, candidates, near, full, cell_counts, eps2, counts, touch
-            )
-        else:
-            self._query_numpy(
-                pts, rows, candidates, near, full, cell_counts, eps2, counts, touch
-            )
-        return CellBatchQueryResult(
-            candidate_ids=candidates,
-            counts=counts,
-            touch=touch,
-            candidate_rows=rows,
+        touch = np.zeros(int(pair_offsets[-1]), dtype=bool)
+        result = PartitionQueryResult(
+            counts, cand_rows, cand_offsets, bounds, pair_offsets, touch
         )
+        if touch.size == 0:
+            return result
 
-    @staticmethod
-    def _classify_boxes(
-        pts: np.ndarray, candidate_array: np.ndarray, side: float, eps2: float
+        # Per point: its first slot, slot count, and first pair.
+        point_group = np.repeat(np.arange(n_groups, dtype=np.int64), np.diff(bounds))
+        point_m = m_group[point_group]
+        point_slot = cand_offsets[point_group]
+        point_pair = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(point_m, out=point_pair[1:])
+        slot_counts = self._cell_counts[cand_rows]
+
+        # Steps of whole points, each holding at most PAIR_BUDGET pairs
+        # (a point with more candidates than that is a step by itself).
+        begin = 0
+        while begin < n:
+            stop = int(
+                np.searchsorted(point_pair, point_pair[begin] + PAIR_BUDGET, "right")
+            ) - 1
+            stop = min(n, max(stop, begin + 1))
+            self._sweep_step(
+                pts, begin, stop, point_pair, point_slot, point_m,
+                cand_rows, slot_counts, counts, touch,
+            )
+            begin = stop
+        return result
+
+    def _sweep_step(
+        self, pts, begin, stop, point_pair, point_slot, point_m,
+        cand_rows, slot_counts, counts, touch,
+    ) -> None:
+        """Classify and answer the pairs of points ``begin:stop``."""
+        pair_lo, pair_hi = int(point_pair[begin]), int(point_pair[stop])
+        step_pts = pts[begin:stop]
+        step_m = point_m[begin:stop]
+        step_pair = point_pair[begin:stop] - pair_lo
+        # Step-local point of every pair, and the pair's global slot.
+        pair_pt = np.repeat(np.arange(stop - begin, dtype=np.int64), step_m)
+        pair_slot = point_slot[begin:stop][pair_pt] + (
+            np.arange(pair_hi - pair_lo, dtype=np.int64) - step_pair[pair_pt]
+        )
+        # The step's candidate slots are one contiguous range.
+        slot_base = int(point_slot[begin])
+        slot_stop = int(point_slot[stop - 1] + point_m[stop - 1])
+        near, full = self._classify_pairs(
+            step_pts, pair_pt, cand_rows[slot_base:slot_stop], pair_slot - slot_base
+        )
+        step_counts = counts[begin:stop]
+        step_touch = touch[pair_lo:pair_hi]
+        if self._impl is not None:
+            self._step_kernel(
+                step_pts, step_pair, point_slot[begin:stop], step_m, pair_slot,
+                cand_rows, near, full, slot_counts, step_counts, step_touch,
+            )
+            return
+        # Fully-contained candidates (Example 5.5 case 1): every sub-cell
+        # center is a neighbor, so the root density counts wholesale.
+        full_pairs = np.flatnonzero(full)
+        step_counts += np.bincount(
+            pair_pt[full_pairs],
+            weights=slot_counts[pair_slot[full_pairs]],
+            minlength=stop - begin,
+        )
+        step_touch[full_pairs] = True
+        # Partially-contained candidates (case 2): test their sub-cell
+        # centers.
+        partial = near & ~full
+        if partial.any():
+            self._partial_dense(
+                step_pts, step_pair, step_m, point_slot[begin:stop], pair_slot,
+                partial, cand_rows, step_counts, step_touch,
+            )
+
+    def _classify_pairs(
+        self,
+        pts: np.ndarray,
+        pair_pt: np.ndarray,
+        rows: np.ndarray,
+        pair_row: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``(near, full)`` bool masks: point-to-box distances for all
-        candidates at once via ``(n, m, d)`` broadcasting."""
-        los = candidate_array.astype(np.float64) * side  # (m, d)
-        diff_lo = los[None, :, :] - pts[:, None, :]
-        diff_hi = -diff_lo - side  # pts - (los + side)
-        gap = np.maximum(np.maximum(diff_lo, diff_hi), 0.0)
-        min_d2 = np.einsum("ijk,ijk->ij", gap, gap)  # (n, m)
-        corner = np.maximum(np.abs(diff_lo), np.abs(diff_hi))
-        max_d2 = np.einsum("ijk,ijk->ij", corner, corner)
+        """``(near, full)`` per (point, candidate) pair: is the point's
+        minimum / maximum distance to the box of candidate
+        ``rows[pair_row]`` within ``eps``?  Shared by every backend;
+        summed one axis at a time so no temporary is ``(pairs, d)``."""
+        side = self.geometry.side
+        eps2 = self.geometry.eps * self.geometry.eps
+        min_d2 = np.zeros(pair_pt.size, dtype=np.float64)
+        max_d2 = np.zeros(pair_pt.size, dtype=np.float64)
+        for k in range(self.geometry.dim):
+            lo = self._finder.cell_ids[rows, k].astype(np.float64) * side
+            diff_lo = lo[pair_row] - pts[pair_pt, k]
+            diff_hi = -diff_lo - side  # pts - (lo + side)
+            gap = np.maximum(np.maximum(diff_lo, diff_hi), 0.0)
+            min_d2 += gap * gap
+            corner = np.maximum(np.abs(diff_lo), np.abs(diff_hi))
+            max_d2 += corner * corner
         return min_d2 <= eps2, max_d2 <= eps2
 
-    def _gather_partial(
-        self,
-        rows: np.ndarray,
-        partial_cols: np.ndarray,
-        candidates: list[CellId],
+    def _subcell_pool(
+        self, rows: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(centers, densities, sizes)`` of the partial candidates'
-        sub-cells, concatenated in candidate order."""
-        if self._flat is not None:
-            # One vectorized CSR gather over the columnar arrays.
-            return self._flat.gather_subcells(rows[partial_cols])
-        center_blocks = [
-            self._dict.sub_cell_centers(candidates[j]) for j in partial_cols
-        ]
-        density_blocks = [self._dict.densities(candidates[j]) for j in partial_cols]
-        sizes = np.array([block.shape[0] for block in center_blocks])
-        centers = np.concatenate(center_blocks)  # (M, d)
-        densities = np.concatenate(density_blocks)  # (M,)
-        return centers, densities, sizes
+        """``(centers, densities, starts)``: a pool holding the sub-cell
+        blocks of ``rows`` and each row's block start in it.
 
-    def _query_numpy(
-        self, pts, rows, candidates, near, full, cell_counts, eps2, counts, touch
-    ) -> None:
-        """The vectorized reference backend (``kernel="numpy"``)."""
-        counts += full @ cell_counts
-        touch |= full
-
-        # Partially-contained candidates: test their sub-cell centers,
-        # concatenated into a single distance computation (case 2).
-        partial = near & ~full  # (n, m)
-        partial_cols = np.nonzero(partial.any(axis=0))[0]
-        if partial_cols.size:
-            centers, densities, sizes = self._gather_partial(
-                rows, partial_cols, candidates
+        On the monolithic CSR layouts the pool is the dictionary itself;
+        otherwise the distinct rows are gathered once (sharded layouts
+        attach only the shards those rows live in)."""
+        if self._csr_pool is not None:
+            centers, densities, offsets = self._csr_pool
+            return centers, densities, offsets[rows]
+        distinct, inverse = np.unique(rows, return_inverse=True)
+        if isinstance(self._dict, PartialFlatDictionary):
+            centers, densities, sizes = self._dict.gather_subcells(distinct)
+        else:
+            cell_ids = self._finder.cell_ids[distinct].tolist()
+            blocks = [self._dict.sub_cell_centers(tuple(c)) for c in cell_ids]
+            centers = np.concatenate(blocks)
+            densities = np.concatenate(
+                [self._dict.densities(tuple(c)) for c in cell_ids]
             )
-            starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-            col_of = np.repeat(np.arange(partial_cols.size), sizes)
-            within = seq_squared_distances(pts, centers) <= eps2  # (n, M)
-            # A fully-contained candidate was already counted wholesale;
-            # mask its columns so nothing is counted twice.
-            within &= partial[:, partial_cols][:, col_of]
-            counts += within @ densities
-            seg_hits = np.add.reduceat(within, starts, axis=1) > 0
-            touch[:, partial_cols] |= seg_hits
+            sizes = self._sub_sizes[distinct]
+        starts = np.zeros(distinct.size, dtype=np.int64)
+        np.cumsum(sizes[:-1], out=starts[1:])
+        return centers, densities, starts[inverse.reshape(-1)]
 
-    def _query_kernel(
-        self, pts, rows, candidates, near, full, cell_counts, eps2, counts, touch
+    def _partial_dense(
+        self, step_pts, step_pair, step_m, step_slot, pair_slot, partial,
+        cand_rows, step_counts, step_touch,
+    ) -> None:
+        """The vectorized reference backend (``kernel="numpy"``) for the
+        partially contained pairs of one step: one pool gather for the
+        step, then one dense ``(points, sub-cells)`` block per cell."""
+        eps2 = self.geometry.eps * self.geometry.eps
+        part_slots = _partial_slots(pair_slot, partial, cand_rows.size)
+        rows = cand_rows[part_slots]
+        sizes = self._sub_sizes[rows]
+        centers, densities, starts = self._subcell_pool(rows)
+        sub = csr_gather_indices(starts, sizes)
+        block_centers = centers[sub]
+        block_densities = densities[sub]
+        block_slot = np.repeat(part_slots, sizes)
+        ends = np.zeros(sizes.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=ends[1:])
+        # Runs of points sharing a cell (a cell may straddle two steps);
+        # a cell without candidates shares its first slot with the next
+        # cell, so a run also ends where the candidate count changes.
+        n = step_slot.size
+        change = np.flatnonzero(
+            (step_slot[1:] != step_slot[:-1]) | (step_m[1:] != step_m[:-1])
+        ) + 1
+        run_lo = np.concatenate(([0], change))
+        run_hi = np.concatenate((change, [n]))
+        run_slot = step_slot[run_lo]
+        first = np.searchsorted(part_slots, run_slot)
+        last = np.searchsorted(part_slots, run_slot + step_m[run_lo])
+        for lo, hi, a, b, s0 in zip(
+            run_lo.tolist(), run_hi.tolist(), first.tolist(), last.tolist(),
+            run_slot.tolist(),
+        ):
+            if a == b:
+                continue
+            m = int(step_m[lo])
+            c0, c1 = int(ends[a]), int(ends[b])
+            cols = part_slots[a:b] - s0
+            sub_cols = block_slot[c0:c1] - s0
+            seg_starts = ends[a:b] - c0
+            # Rows per dense block, so a block holds at most PAIR_BUDGET
+            # (point, sub-cell) pairs.
+            rows_per_block = max(1, PAIR_BUDGET // (c1 - c0))
+            for r0 in range(lo, hi, rows_per_block):
+                r1 = min(hi, r0 + rows_per_block)
+                q0 = int(step_pair[r0])
+                q1 = q0 + (r1 - r0) * m
+                within = (
+                    seq_squared_distances(step_pts[r0:r1], block_centers[c0:c1])
+                    <= eps2
+                )
+                within &= partial[q0:q1].reshape(r1 - r0, m)[:, sub_cols]
+                step_counts[r0:r1] += within @ block_densities[c0:c1]
+                hits = np.logical_or.reduceat(within, seg_starts, axis=1)
+                step_touch[q0:q1].reshape(r1 - r0, m)[:, cols] |= hits
+
+    def _step_kernel(
+        self, step_pts, step_pair, step_slot, step_m, pair_slot,
+        cand_rows, near, full, slot_counts, step_counts, step_touch,
     ) -> None:
         """The compiled backend (``kernel="numba"``; ``"python"`` runs
-        the same source uncompiled).  Bit-identical to ``_query_numpy``:
+        the same source uncompiled).  Bit-identical to the numpy path:
         the within decision shares the sequential per-dimension
         accumulation and density sums are exact integer arithmetic in
         float64 (see :mod:`repro.kernels.phase2`)."""
-        fused, gathered = self._impls
-        if self._csr is not None:
-            # Fused path: the CSR slice is the loop bound — the
-            # candidate gather never materializes.
-            fused(
-                pts,
-                rows,
-                near,
-                full,
-                cell_counts,
-                self._csr.offsets,
-                self._csr.sub_centers,
-                self._csr.sub_counts,
-                eps2,
-                counts,
-                touch,
-            )
-            return
-        # Gathered path (dict layout, sharded partial dictionary): the
-        # layout's own gather produces the center block, the kernel
-        # fuses filter + accumulate over it.
-        partial = near & ~full
-        partial_cols = np.nonzero(partial.any(axis=0))[0]
-        if partial_cols.size:
-            centers, densities, sizes = self._gather_partial(
-                rows, partial_cols, candidates
-            )
-            seg_offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+        n_slots = cand_rows.size
+        seg_start = np.zeros(n_slots, dtype=np.int64)
+        seg_size = np.zeros(n_slots, dtype=np.int64)
+        partial_slots = _partial_slots(pair_slot, near & ~full, n_slots)
+        if partial_slots.size:
+            rows = cand_rows[partial_slots]
+            centers, densities, starts = self._subcell_pool(rows)
+            seg_start[partial_slots] = starts
+            seg_size[partial_slots] = self._sub_sizes[rows]
         else:
-            d = pts.shape[1]
-            centers = np.empty((0, d), dtype=np.float64)
+            centers = np.empty((0, self.geometry.dim), dtype=np.float64)
             densities = np.empty(0, dtype=np.float64)
-            seg_offsets = np.zeros(1, dtype=np.int64)
-        gathered(
-            pts,
+        self._impl(
+            step_pts,
+            step_pair,
+            step_slot,
+            step_m,
             near,
             full,
-            cell_counts,
-            partial_cols.astype(np.int64),
-            seg_offsets,
+            slot_counts,
+            seg_start,
+            seg_size,
             centers,
             densities,
-            eps2,
-            counts,
-            touch,
+            self.geometry.eps * self.geometry.eps,
+            step_counts,
+            step_touch,
         )
 
     # ------------------------------------------------------------------
-    # Single-point query (tests, exploration)
+    # One-cell and single-point queries (tests, exploration)
     # ------------------------------------------------------------------
+
+    def query_cell_batch(self, cell_id: CellId, points: np.ndarray) -> CellBatchQueryResult:
+        """The sweep's one-group case: every point of ``points`` queried
+        against the candidates of ``cell_id`` (see the module docstring
+        for the contract); the result aligns with the row order of
+        ``points``."""
+        pts = np.asarray(points, dtype=np.float64)
+        if pts.ndim != 2:
+            raise ValueError("points must be (n, d)")
+        result = self.query_partition(
+            np.asarray(cell_id, dtype=np.int64)[None, :],
+            pts,
+            np.array([0, pts.shape[0]], dtype=np.int64),
+        )
+        rows = result.cand_rows
+        return CellBatchQueryResult(
+            candidate_ids=[tuple(row) for row in self._finder.cell_ids[rows].tolist()],
+            counts=result.counts,
+            touch=result.group_touch(0),
+            candidate_rows=rows,
+        )
 
     def query_point(self, point: np.ndarray) -> tuple[float, list[CellId]]:
         """Approximate neighbor count and touched cells for one point.
@@ -382,8 +588,8 @@ class RegionQueryEngine:
 
         Returns ``(cell_id, mask)`` pairs where ``mask`` flags the
         cell's sub-cells whose centers are within ``eps``.  This is the
-        literal ``NSC`` set of Algorithm 3; the batched query is the
-        optimized equivalent.
+        literal ``NSC`` set of Algorithm 3; the sweep is the optimized
+        equivalent.
         """
         p = np.asarray(point, dtype=np.float64)
         eps = self.geometry.eps

@@ -470,8 +470,12 @@ class RPDBSCAN:
             # Streaming finiteness validation — same contract as the
             # eager path, one chunk resident at a time.
             bad = 0
+            lo, hi = np.inf, -np.inf
             for _, chunk in points.iter_chunks():
                 bad += int(np.count_nonzero(~np.isfinite(chunk).all(axis=1)))
+                if chunk.size:
+                    lo = min(lo, float(chunk.min()))
+                    hi = max(hi, float(chunk.max()))
             if bad:
                 raise ValueError(
                     f"points contain NaN/inf coordinates in {bad} row(s); "
@@ -491,6 +495,7 @@ class RPDBSCAN:
                     "cell grid requires finite coordinates"
                 )
             n, dim = pts.shape
+            lo, hi = (float(pts.min()), float(pts.max())) if pts.size else (0.0, 0.0)
         # Counters accumulate for the engine's whole lifetime (it may be
         # shared across fits); snapshot here and report only this run's
         # delta so repeated fit() calls yield independent timings.
@@ -498,6 +503,8 @@ class RPDBSCAN:
         fit_mark = engine_counters.mark()
         tracer = self.engine.tracer
         geometry = CellGeometry(self.eps, max(dim, 1), self.rho)
+        if n and dim:
+            geometry.check_range(lo, hi)
         with tracer.span(
             "fit", "fit", annotations={"n": n, "dim": dim, "kernel": self.kernel}
         ):

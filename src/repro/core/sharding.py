@@ -44,7 +44,11 @@ import numpy as np
 
 from repro.core.cells import CellGeometry, CellId
 from repro.core.defragmentation import FlatDefragmentedDictionary
-from repro.core.dictionary import csr_gather_indices, lex_keys
+from repro.core.dictionary import (
+    csr_gather_indices,
+    lex_keys,
+    segment_distinct_counts,
+)
 
 __all__ = [
     "ShardStore",
@@ -305,15 +309,21 @@ class PartialFlatDictionary:
         *would* have to be resident for the worst case of that query,
         mirroring ``FlatDefragmentedDictionary.record_rows_consulted``.
         """
-        owners = self.shard_owner[np.asarray(rows, dtype=np.int64)]
-        if owners.size == 0:
-            touched = 0
-        elif (owners == owners[0]).all():
-            touched = 1
-        else:
-            touched = int(np.unique(owners).size)
-        self.queries += 1
-        self.shards_consulted += touched
+        rows = np.asarray(rows, dtype=np.int64)
+        bounds = np.array([0, rows.size], dtype=np.int64)
+        return int(self.record_rows_consulted_batch(rows, bounds)[0])
+
+    def record_rows_consulted_batch(
+        self, rows: np.ndarray, offsets: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`record_rows_consulted` for many queries at once: query
+        ``g``'s candidate rows are ``rows[offsets[g]:offsets[g + 1]]``.
+        Returns each query's distinct shard count."""
+        touched = segment_distinct_counts(
+            self.shard_owner[np.asarray(rows, dtype=np.int64)], offsets
+        )
+        self.queries += touched.size
+        self.shards_consulted += int(touched.sum())
         return touched
 
     def average_consulted(self) -> float:

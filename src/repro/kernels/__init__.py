@@ -35,9 +35,8 @@ from __future__ import annotations
 from repro.kernels.phase2 import (
     HAVE_NUMBA,
     NUMBA_VERSION,
-    fused_batch_source,
-    gathered_batch_source,
-    get_impls,
+    get_impl,
+    sweep_source,
     warmed_dims,
     warmup,
 )
@@ -48,11 +47,10 @@ __all__ = [
     "KERNELS",
     "KernelUnavailableError",
     "resolve_kernel",
-    "get_impls",
+    "get_impl",
     "warmup",
     "warmed_dims",
-    "fused_batch_source",
-    "gathered_batch_source",
+    "sweep_source",
 ]
 
 #: The public kernel choices (CLI ``--kernel``).  ``"python"`` is also

@@ -1,57 +1,55 @@
-"""Fused Phase II kernels: candidate gather + distance filter + density sum.
+"""The Phase II kernel: distance filter + density sum over a sweep step.
 
-The (eps, rho)-region query's inner loop — gather a candidate cell's
-sub-cell block from the CSR arrays, test each sub-cell center against
-the query point, and accumulate the densities of the centers that pass
-(Algorithm 3 lines 8-10) — is the Phase II hot path (Fig 12).  This
-module holds that loop as *kernel source functions*: plain-python
-nested loops written in numba's nopython subset, compiled with
-``@njit(parallel=True, cache=True)`` when numba is installed and left
-callable as-is (the slow but exact ``python`` reference backend) when it
-is not.
+The (eps, rho)-region query's inner loop — test each sub-cell center of
+a partially contained candidate against the query point, and
+accumulate the densities of the centers that pass (Algorithm 3 lines
+8-10) — is the Phase II hot path (Fig 12).  This module holds that loop
+as a *kernel source function*: plain-python nested loops written in
+numba's nopython subset, compiled with ``@njit(parallel=True,
+cache=True)`` when numba is installed and left callable as-is (the slow
+but exact ``python`` reference backend) when it is not.
 
-Two kernel shapes cover every dictionary the region-query engine serves:
-
-* :func:`fused_batch_source` — indexes the columnar
-  :class:`~repro.core.dictionary.FlatCellDictionary` arrays directly
-  (``offsets``/``sub_centers``/``sub_counts``), so the candidate gather
-  never materializes: the CSR slice *is* the loop bounds.  Used for the
-  flat layout and its defragmented wrapper.
-* :func:`gathered_batch_source` — consumes a pre-gathered
-  ``(M, d)`` center block with per-candidate segment offsets.  Used for
-  the dict layout (whose leaves are per-cell arrays) and the sharded
-  :class:`~repro.core.sharding.PartialFlatDictionary` (whose leaves live
-  in per-shard segments), both of which already produce exactly this
-  block for the numpy path.
+The kernel takes one step of the per-partition sweep
+(:meth:`~repro.core.region_query.RegionQueryEngine.query_partition`):
+a block of points, each with its run of (point, candidate) pairs, the
+pairs' ``near``/``full`` box classes, and a sub-cell *pool* addressed by
+per-candidate segments.  One shape serves every dictionary layout: on
+the monolithic CSR layout (flat, and its defragmented wrapper) the pool
+*is* the dictionary's ``sub_centers``/``sub_counts`` and a segment is a
+CSR slice, so no block is ever copied; the sharded and dict layouts
+gather the step's blocks into a pool first.
 
 Bit-identity contract (pinned by ``tests/kernels/``)
 ----------------------------------------------------
-The kernels must reproduce the numpy backend's outputs *exactly*:
+The kernel must reproduce the numpy backend's outputs *exactly*:
 
 * The within-``eps`` decision is a squared comparison over a squared
   distance accumulated **sequentially per dimension**:
   ``acc = ((0 + diff_0^2) + diff_1^2) + ...`` with no fused
   multiply-add.  The numpy backend computes the same sequence with one
   elementwise operation per dimension
-  (:func:`repro.spatial.distance.seq_squared_distances`); since IEEE 754
-  elementwise operations are exactly rounded, the scalar loop here and
-  the vectorized loop there agree to the bit.  (The BLAS expansion
-  ``|a|^2 + |b|^2 - 2ab`` does *not* have this property — its dot
-  products reorder and may fuse — which is why the numpy hot path does
+  (:func:`repro.spatial.distance.seq_squared_distances`, over one dense
+  block per cell); since IEEE 754 elementwise operations are exactly
+  rounded, the scalar loop here and the vectorized loop there agree to
+  the bit.  (The BLAS
+  expansion ``|a|^2 + |b|^2 - 2ab`` does *not* have this property — its
+  dot products reorder and may fuse — which is why the hot path does
   not use it.)
 * Density accumulation adds integer-valued float64 terms (cell and
   sub-cell counts).  Integer sums below 2**53 are exact in float64
   regardless of association, so the interleaved per-point order here is
-  bit-identical to the numpy backend's two matmuls.
+  bit-identical to the numpy backend's ``bincount`` and matmul sums.
 * ``prange`` parallelism is over query points only; each point's
-  accumulation is sequential and writes disjoint output rows, so results
-  do not depend on thread count or schedule.
+  accumulation is sequential and writes disjoint output elements, so
+  results do not depend on thread count or schedule.
 
-Array contracts the kernels assume (DESIGN.md §11): lexicographically
-sorted ``(C, d)`` int64 cell ids whose row order matches ``rows``;
-CSR ``offsets`` of shape ``(C + 1,)`` int64 starting at 0 and covering
-``sub_centers``/``sub_counts``; ``sub_centers`` float64 C-contiguous;
-counts int64; masks bool.
+Array contracts the kernel assumes (DESIGN.md §11): ``pts`` ``(n, d)``
+float64 C-contiguous; per point ``pair_start``/``slot_start``/
+``slot_count`` int64 (point ``i``'s pairs are
+``pair_start[i] + j`` for ``j < slot_count[i]``, its candidate slots
+``slot_start[i] + j``); ``near``/``full``/``touch`` bool per pair;
+``slot_density``/``densities`` float64; ``seg_start``/``seg_size``
+int64 per slot into the ``(M, d)`` float64 ``centers`` pool.
 """
 
 from __future__ import annotations
@@ -61,9 +59,8 @@ import time
 __all__ = [
     "HAVE_NUMBA",
     "NUMBA_VERSION",
-    "fused_batch_source",
-    "gathered_batch_source",
-    "get_impls",
+    "sweep_source",
+    "get_impl",
     "warmup",
     "warmed_dims",
 ]
@@ -81,56 +78,17 @@ except ImportError:  # the baked-in environment has no numba
     _prange = range
 
 
-def _make_fused(prange):
-    def fused_batch(
+def _make_sweep(prange):
+    def sweep_step(
         pts,
-        rows,
+        pair_start,
+        slot_start,
+        slot_count,
         near,
         full,
-        cell_counts_sel,
-        offsets,
-        sub_centers,
-        sub_counts,
-        eps2,
-        counts,
-        touch,
-    ):
-        n, d = pts.shape
-        m = rows.shape[0]
-        for i in prange(n):
-            acc = 0.0
-            for j in range(m):
-                if full[i, j]:
-                    # Fully-contained candidate (Example 5.5 case 1):
-                    # every sub-cell center is a neighbor; add the
-                    # precomputed root density wholesale.
-                    acc += cell_counts_sel[j]
-                    touch[i, j] = True
-                elif near[i, j]:
-                    row = rows[j]
-                    hit = False
-                    for s in range(offsets[row], offsets[row + 1]):
-                        d2 = 0.0
-                        for k in range(d):
-                            diff = pts[i, k] - sub_centers[s, k]
-                            d2 += diff * diff
-                        if d2 <= eps2:
-                            acc += sub_counts[s]
-                            hit = True
-                    touch[i, j] = hit
-            counts[i] = acc
-
-    return fused_batch
-
-
-def _make_gathered(prange):
-    def gathered_batch(
-        pts,
-        near,
-        full,
-        cell_counts_sel,
-        partial_cols,
-        seg_offsets,
+        slot_density,
+        seg_start,
+        seg_size,
         centers,
         densities,
         eps2,
@@ -138,61 +96,63 @@ def _make_gathered(prange):
         touch,
     ):
         n, d = pts.shape
-        m = full.shape[1]
-        p = partial_cols.shape[0]
         for i in prange(n):
             acc = 0.0
-            for j in range(m):
-                if full[i, j]:
-                    acc += cell_counts_sel[j]
-                    touch[i, j] = True
-            for jj in range(p):
-                j = partial_cols[jj]
-                if near[i, j] and not full[i, j]:
+            q0 = pair_start[i]
+            s0 = slot_start[i]
+            for j in range(slot_count[i]):
+                q = q0 + j
+                slot = s0 + j
+                if full[q]:
+                    # Fully-contained candidate (Example 5.5 case 1):
+                    # every sub-cell center is a neighbor; add the
+                    # precomputed root density wholesale.
+                    acc += slot_density[slot]
+                    touch[q] = True
+                elif near[q]:
                     hit = False
-                    for s in range(seg_offsets[jj], seg_offsets[jj + 1]):
+                    lo = seg_start[slot]
+                    for t in range(lo, lo + seg_size[slot]):
                         d2 = 0.0
                         for k in range(d):
-                            diff = pts[i, k] - centers[s, k]
+                            diff = pts[i, k] - centers[t, k]
                             d2 += diff * diff
                         if d2 <= eps2:
-                            acc += densities[s]
+                            acc += densities[t]
                             hit = True
-                    touch[i, j] = hit
+                    touch[q] = hit
             counts[i] = acc
 
-    return gathered_batch
+    return sweep_step
 
 
-#: The reference source functions: plain python, ``range`` in place of
-#: ``prange``.  These ARE the kernels — what numba compiles — runnable
+#: The reference source function: plain python, ``range`` in place of
+#: ``prange``.  This IS the kernel — what numba compiles — runnable
 #: (slowly) in any environment, which is what lets the differential
 #: suite pin the source semantics against the numpy backend even where
 #: numba is absent.
-fused_batch_source = _make_fused(range)
-gathered_batch_source = _make_gathered(range)
+sweep_source = _make_sweep(range)
 
-_numba_fused = None
-_numba_gathered = None
+_numba_sweep = None
 if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
-    _jit = numba.njit(parallel=True, cache=True, nogil=True)
-    _numba_fused = _jit(_make_fused(_prange))
-    _numba_gathered = _jit(_make_gathered(_prange))
+    _numba_sweep = numba.njit(parallel=True, cache=True, nogil=True)(
+        _make_sweep(_prange)
+    )
 
 
-def get_impls(backend: str):
-    """The ``(fused, gathered)`` callables for a resolved backend.
+def get_impl(backend: str):
+    """The sweep-step kernel callable for a resolved backend.
 
     ``backend`` must be ``"numba"`` or ``"python"``; the ``numpy``
-    backend has no kernel callables (its implementation is the
+    backend has no kernel callable (its implementation is the
     vectorized path inside :mod:`repro.core.region_query`).
     """
     if backend == "python":
-        return fused_batch_source, gathered_batch_source
+        return sweep_source
     if backend == "numba":
         if not HAVE_NUMBA:  # pragma: no cover - guarded by resolve_kernel
             raise RuntimeError("numba backend requested but numba is not importable")
-        return _numba_fused, _numba_gathered
+        return _numba_sweep
     raise ValueError(f"no kernel implementations for backend {backend!r}")
 
 
@@ -206,7 +166,7 @@ def warmed_dims() -> frozenset[int]:
 
 
 def warmup(dim: int) -> float:
-    """Compile both kernels for ``dim``-dimensional data; return seconds.
+    """Compile the sweep kernel for ``dim``-dimensional data; return seconds.
 
     Called from the engine's Phase II warm-up hook so the one-time JIT
     cost lands in the ``engine.setup`` counter bucket, never in a phase
@@ -221,38 +181,23 @@ def warmup(dim: int) -> float:
     import numpy as np
 
     start = time.perf_counter()
-    pts = np.zeros((1, dim), dtype=np.float64)
-    near = np.ones((1, 1), dtype=np.bool_)
-    full = np.zeros((1, 1), dtype=np.bool_)
-    counts_sel = np.zeros(1, dtype=np.float64)
-    counts = np.zeros(1, dtype=np.float64)
-    touch = np.zeros((1, 1), dtype=np.bool_)
-    _numba_fused(
-        pts,
-        np.zeros(1, dtype=np.int64),
-        near,
-        full,
-        counts_sel,
-        np.array([0, 1], dtype=np.int64),
+    one = np.ones(1, dtype=np.int64)
+    zero = np.zeros(1, dtype=np.int64)
+    _numba_sweep(
         np.zeros((1, dim), dtype=np.float64),
-        np.ones(1, dtype=np.int64),
-        1.0,
-        counts,
-        touch,
-    )
-    touch[:] = False
-    _numba_gathered(
-        pts,
-        near,
-        full,
-        counts_sel,
-        np.zeros(1, dtype=np.int64),
-        np.array([0, 1], dtype=np.int64),
+        zero,
+        zero,
+        one,
+        np.ones(1, dtype=np.bool_),
+        np.zeros(1, dtype=np.bool_),
+        np.zeros(1, dtype=np.float64),
+        zero,
+        one,
         np.zeros((1, dim), dtype=np.float64),
         np.ones(1, dtype=np.float64),
         1.0,
-        counts,
-        touch,
+        np.zeros(1, dtype=np.float64),
+        np.zeros(1, dtype=np.bool_),
     )
     _WARMED_DIMS.add(dim)
     return time.perf_counter() - start

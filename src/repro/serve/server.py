@@ -137,6 +137,7 @@ class PredictServer:
         self._batcher: MicroBatcher | None = None
         self._server: asyncio.AbstractServer | None = None
         self._stopped = asyncio.Event()
+        self._stopping: asyncio.Task | None = None
         self._latency = self.registry.histogram(
             "serve.latency_seconds", SERVE_LATENCY_BUCKETS
         )
@@ -190,7 +191,19 @@ class PredictServer:
         )
 
     async def stop(self) -> None:
-        """Close the socket, drain in-flight work, stop the pool."""
+        """Close the socket, drain in-flight work, stop the pool.
+
+        Every caller (a ``MSG_SHUTDOWN`` frame, the harness's exit)
+        awaits one shared teardown, and the server reads as stopped only
+        once the pool is closed: a second, concurrent stop must not let
+        the loop exit and cancel a pool close that has not yet started,
+        which would leave the model's segment linked.
+        """
+        if self._stopping is None:
+            self._stopping = asyncio.ensure_future(self._teardown())
+        await asyncio.shield(self._stopping)
+
+    async def _teardown(self) -> None:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()

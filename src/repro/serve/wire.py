@@ -79,7 +79,11 @@ def encode_points(points: np.ndarray) -> bytes:
 
 
 def decode_points(payload: bytes) -> np.ndarray:
-    """Parse a point block back into a float64 ``(m, d)`` array."""
+    """Parse a point block back into a float64 ``(m, d)`` array.
+
+    A block with a NaN or inf coordinate is malformed: no model can
+    place it in a cell, so it is refused here, per request.
+    """
     if len(payload) < _POINTS_HEADER.size:
         raise WireFormatError("truncated point-block header")
     m, d = _POINTS_HEADER.unpack_from(payload)
@@ -96,6 +100,8 @@ def decode_points(payload: bytes) -> np.ndarray:
             f"point block of {len(payload)} bytes, expected {expected}"
         )
     data = np.frombuffer(payload, dtype="<f8", offset=_POINTS_HEADER.size)
+    if not np.isfinite(data).all():
+        raise WireFormatError("point block holds NaN/inf coordinates")
     return data.reshape(m, d).astype(np.float64, copy=False)
 
 

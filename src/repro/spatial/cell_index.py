@@ -34,6 +34,13 @@ __all__ = ["NeighborCellFinder"]
 
 CellId = tuple[int, ...]
 
+#: Pair budget of one kd-tree batch chunk (``(query, hit)`` pairs), and
+#: the query count of the first chunk before a hit rate is known.
+_TREE_PAIR_BUDGET = 1 << 16
+_TREE_CHUNK_QUERIES = 64
+#: Largest ``(hits, d)`` block the box-gap filter builds in one piece.
+_GAP_BLOCK_ELEMENTS = 1 << 12
+
 
 def _normalize_ids(
     cell_ids: np.ndarray | list[CellId] | set[CellId],
@@ -195,15 +202,40 @@ class NeighborCellFinder:
             return np.sort(clipped[hit])
         assert self._tree is not None
         center = (base.astype(np.float64) + 0.5) * self.side
-        # Box-box distance <= eps implies center distance <= eps + diagonal.
-        diagonal = self.side * float(np.sqrt(self.dim))
-        hits = self._tree.query_ball(center, self.eps + diagonal * (1 + 1e-12))
+        hits = self._tree.query_ball(center, self._tree_radius())
         if hits.size == 0:
             return np.empty(0, dtype=np.int64)
-        delta = np.abs(self._ids[hits] - base)
-        gap = np.maximum(delta - 1, 0).astype(np.float64) * self.side
-        keep = np.einsum("ij,ij->i", gap, gap) <= (self.eps * (1 + 1e-12)) ** 2
-        return np.sort(hits[keep])
+        owner = np.zeros(hits.size, dtype=np.int64)
+        return np.sort(hits[self._box_gap_within(hits, base[None, :], owner)])
+
+    def _tree_radius(self) -> float:
+        """Center-distance superset radius of the kd-tree strategy:
+        box-box distance <= eps implies center distance <= eps + diagonal."""
+        diagonal = self.side * float(np.sqrt(self.dim))
+        return self.eps + diagonal * (1 + 1e-12)
+
+    def _box_gap_within(
+        self, hits: np.ndarray, bases: np.ndarray, owner: np.ndarray
+    ) -> np.ndarray:
+        """Exact box-to-box test of hit rows against their query cells
+        ``bases[owner]``.  Gaps are summed over the axes left to right:
+        small batches in one block, large ones axis by axis so no
+        temporary is ``(hits, d)`` — the scalar and batch paths share
+        one summation order."""
+        bound = (self.eps * (1 + 1e-12)) ** 2
+        if hits.size * self.dim <= _GAP_BLOCK_ELEMENTS:
+            gap = np.abs(self._ids[hits] - bases[owner]) - 1
+            np.maximum(gap, 0, out=gap)
+            scaled = gap.astype(np.float64) * self.side
+            scaled *= scaled
+            return np.cumsum(scaled, axis=1)[:, -1] <= bound
+        gap2 = np.zeros(hits.size, dtype=np.float64)
+        for axis in range(self.dim):
+            gap = np.abs(self._ids[hits, axis] - bases[owner, axis]) - 1
+            np.maximum(gap, 0, out=gap)
+            scaled = gap.astype(np.float64) * self.side
+            gap2 += scaled * scaled
+        return gap2 <= bound
 
     def candidate_rows_batch(
         self, query_ids: np.ndarray
@@ -214,8 +246,10 @@ class NeighborCellFinder:
         ``rows[offsets[g]:offsets[g + 1]]``, ascending — identical to
         ``candidate_rows(query_ids[g])``.  On the enumerate strategy the
         whole batch costs one probe build and one ``searchsorted``
-        (chunked to bound the probe matrix), which is what makes dense
-        batch prediction cheap; kd-tree falls back to the scalar path.
+        (chunked to bound the probe matrix); on the kd-tree strategy it
+        is one batched tree traversal per chunk followed by one
+        vectorized box-gap filter.  This is the candidate step of every
+        batched sweep: Phase II, batch predict and ingest's dirty marking.
         """
         queries = np.ascontiguousarray(query_ids, dtype=np.int64)
         if queries.ndim != 2 or queries.shape[1] != self.dim:
@@ -227,18 +261,7 @@ class NeighborCellFinder:
                 np.zeros(n_queries + 1, dtype=np.int64),
             )
         if self.strategy != "enumerate":
-            parts = [
-                self.candidate_rows(tuple(int(v) for v in row))
-                for row in queries.tolist()
-            ]
-            sizes = np.array([p.size for p in parts], dtype=np.int64)
-            offsets = np.concatenate([[0], np.cumsum(sizes)])
-            rows = (
-                np.concatenate(parts)
-                if parts
-                else np.empty(0, dtype=np.int64)
-            )
-            return rows.astype(np.int64), offsets
+            return self._tree_rows_batch(queries)
         assert self._offsets is not None
         n_offsets = self._offsets.shape[0]
         n_cells = self._ids.shape[0]
@@ -293,6 +316,35 @@ class NeighborCellFinder:
         offsets = np.concatenate(
             [[0], np.cumsum(np.concatenate(count_parts))]
         ).astype(np.int64)
+        return rows, offsets
+
+    def _tree_rows_batch(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """kd-tree branch of :meth:`candidate_rows_batch`."""
+        assert self._tree is not None
+        n_queries = queries.shape[0]
+        radius = self._tree_radius()
+        # Chunked so the (query, hit) pair arrays stay bounded; a chunk
+        # is sized from the previous one's hits per query.
+        chunk = _TREE_CHUNK_QUERIES
+        row_parts: list[np.ndarray] = []
+        count_parts: list[np.ndarray] = []
+        begin = 0
+        while begin < n_queries:
+            batch = queries[begin : begin + chunk]
+            centers = (batch.astype(np.float64) + 0.5) * self.side
+            hits, hit_offsets = self._tree.query_ball_batch(centers, radius)
+            sizes = np.diff(hit_offsets)
+            owner = np.repeat(np.arange(batch.shape[0], dtype=np.int64), sizes)
+            keep = self._box_gap_within(hits, batch, owner)
+            # Hits ascend within each query and the filter keeps order.
+            row_parts.append(hits[keep])
+            count_parts.append(np.bincount(owner[keep], minlength=batch.shape[0]))
+            begin += batch.shape[0]
+            per_query = max(1, int(hits.size) // max(1, batch.shape[0]))
+            chunk = max(1, _TREE_PAIR_BUDGET // per_query)
+        rows = np.concatenate(row_parts).astype(np.int64)
+        offsets = np.zeros(n_queries + 1, dtype=np.int64)
+        np.cumsum(np.concatenate(count_parts), out=offsets[1:])
         return rows, offsets
 
     def candidates(self, cell_id: CellId) -> list[CellId]:

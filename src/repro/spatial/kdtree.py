@@ -6,9 +6,12 @@ dimensions we enumerate integer offsets instead (cheaper), but offset
 enumeration is exponential in ``d``; this kd-tree is the high-dimensional
 fallback, built once over the centers of the *non-empty* cells.
 
-The implementation is a classic median-split kd-tree with vectorized leaf
-scans.  It is deliberately simple: the number of non-empty cells is small
-compared to the number of points, so this index is never the bottleneck.
+The implementation is a classic median-split kd-tree.  Ball queries run
+on an array form of it, many centers at once: the tree is walked level by
+level over (node, center) pairs, so a batch of queries costs one numpy
+pass per level instead of one python step per node and query.  It is
+deliberately simple: the number of non-empty cells is small compared to
+the number of points.
 """
 
 from __future__ import annotations
@@ -18,21 +21,52 @@ import numpy as np
 __all__ = ["KDTree"]
 
 _LEAF_SIZE = 32
+#: Largest ``(pairs, d)`` block a ball query builds in one piece; bigger
+#: steps are summed axis by axis so no temporary outgrows ``(pairs,)``.
+_BLOCK_ELEMENTS = 1 << 12
+#: Most (center, point) pairs one leaf-scan step of a ball query expands.
+_LEAF_PAIRS = 1 << 15
+#: Depth of the node frontier (at most 2**depth nodes) ball queries
+#: start from.
+_ENTRY_DEPTH = 8
 
 
-class _Node:
-    """Internal kd-tree node (leaf when ``axis`` is None)."""
+def _box_sq_dist(
+    lo: np.ndarray, hi: np.ndarray, node: np.ndarray, c: np.ndarray, owner: np.ndarray
+) -> np.ndarray:
+    """Squared distance from each ``c[owner]`` to box ``[lo, hi][node]``,
+    summed over the axes left to right.  Small steps take one block
+    (``cumsum`` runs along each row in order), large ones go axis by
+    axis; both sum in the same order."""
+    dim = lo.shape[1]
+    if dim and node.size * dim <= _BLOCK_ELEMENTS:
+        q = c[owner]
+        gap = np.maximum(np.maximum(lo[node] - q, q - hi[node]), 0.0)
+        gap *= gap
+        return np.cumsum(gap, axis=1)[:, -1]
+    d2 = np.zeros(node.size, dtype=np.float64)
+    for k in range(dim):
+        q = c[owner, k]
+        gap = np.maximum(np.maximum(lo[node, k] - q, q - hi[node, k]), 0.0)
+        d2 += gap * gap
+    return d2
 
-    __slots__ = ("axis", "threshold", "left", "right", "indices", "lo", "hi")
 
-    def __init__(self) -> None:
-        self.axis: int | None = None
-        self.threshold: float = 0.0
-        self.left: _Node | None = None
-        self.right: _Node | None = None
-        self.indices: np.ndarray | None = None
-        self.lo: np.ndarray | None = None
-        self.hi: np.ndarray | None = None
+def _point_sq_dist(
+    points: np.ndarray, index: np.ndarray, c: np.ndarray, owner: np.ndarray
+) -> np.ndarray:
+    """Squared distance of each ``points[index]`` to ``c[owner]``, in the
+    summation order of :func:`_box_sq_dist`."""
+    dim = points.shape[1]
+    if dim and index.size * dim <= _BLOCK_ELEMENTS:
+        diff = points[index] - c[owner]
+        diff *= diff
+        return np.cumsum(diff, axis=1)[:, -1]
+    d2 = np.zeros(index.size, dtype=np.float64)
+    for k in range(dim):
+        diff = points[index, k] - c[owner, k]
+        d2 += diff * diff
+    return d2
 
 
 class KDTree:
@@ -55,8 +89,42 @@ class KDTree:
         self._points = pts
         self._leaf_size = int(leaf_size)
         self._n, self._dim = pts.shape
-        indices = np.arange(self._n, dtype=np.int64)
-        self._root = self._build(indices) if self._n else None
+        # Array form of the tree: per-node box corners and children
+        # (-1 on leaves); leaf ``i`` owns ``size[i]`` indices of
+        # ``leaf_order`` from ``leaf_start[i]``.  Node 0 is the root.
+        lo: list[np.ndarray] = []
+        hi: list[np.ndarray] = []
+        left: list[int] = []
+        right: list[int] = []
+        size: list[int] = []
+        leaves: list[np.ndarray] = []
+        if self._n:
+            self._build(
+                np.arange(self._n, dtype=np.int64), lo, hi, left, right, size, leaves
+            )
+        self._node_lo = np.array(lo, dtype=np.float64).reshape(-1, self._dim)
+        self._node_hi = np.array(hi, dtype=np.float64).reshape(-1, self._dim)
+        self._children = np.column_stack((left, right)).astype(np.int64)
+        self._is_leaf = self._children[:, 0] < 0
+        # Ball queries start from the tree's frontier after a few levels
+        # (small trees: all leaves) instead of the root: those levels
+        # would prune little and cost a python step each.
+        entry = np.zeros(min(1, len(lo)), dtype=np.int64)
+        for _ in range(_ENTRY_DEPTH):
+            inner = ~self._is_leaf[entry]
+            if not inner.any():
+                break
+            entry = np.concatenate(
+                [entry[~inner], self._children[entry[inner]].ravel()]
+            )
+        self._entry = entry
+        self._leaf_size_of = np.array(size, dtype=np.int64)
+        # Leaves were appended in node-id order, so their blocks follow
+        # one another in that order.
+        self._leaf_start = np.cumsum(self._leaf_size_of) - self._leaf_size_of
+        self._leaf_order = (
+            np.concatenate(leaves) if leaves else np.empty(0, dtype=np.int64)
+        )
 
     def __len__(self) -> int:
         return self._n
@@ -66,19 +134,23 @@ class KDTree:
         """Dimensionality of the indexed points."""
         return self._dim
 
-    def _build(self, indices: np.ndarray) -> _Node:
-        node = _Node()
+    def _build(self, indices, lo, hi, left, right, size, leaves) -> int:
+        """Append the subtree over ``indices`` to the node lists; return
+        its root's node id."""
+        node = len(lo)
         subset = self._points[indices]
-        node.lo = subset.min(axis=0)
-        node.hi = subset.max(axis=0)
-        if indices.shape[0] <= self._leaf_size:
-            node.indices = indices
-            return node
-        spread = node.hi - node.lo
+        lo.append(subset.min(axis=0))
+        hi.append(subset.max(axis=0))
+        left.append(-1)
+        right.append(-1)
+        size.append(0)
+        spread = hi[node] - lo[node]
         axis = int(np.argmax(spread))
-        if spread[axis] == 0.0:
-            # All points identical along every axis: keep as a leaf.
-            node.indices = indices
+        # A leaf when small enough, or when all points are identical
+        # along every axis.
+        if indices.shape[0] <= self._leaf_size or spread[axis] == 0.0:
+            size[node] = indices.shape[0]
+            leaves.append(indices)
             return node
         values = subset[:, axis]
         median = float(np.median(values))
@@ -89,70 +161,121 @@ class KDTree:
             half = indices.shape[0] // 2
             left_mask = np.zeros(indices.shape[0], dtype=bool)
             left_mask[order[:half]] = True
-            median = float(values[order[half - 1]])
-        node.axis = axis
-        node.threshold = median
-        node.left = self._build(indices[left_mask])
-        node.right = self._build(indices[~left_mask])
+        children = (lo, hi, left, right, size, leaves)
+        left[node] = self._build(indices[left_mask], *children)
+        right[node] = self._build(indices[~left_mask], *children)
         return node
 
     def query_ball(self, center: np.ndarray, radius: float) -> np.ndarray:
         """Indices of all points within ``radius`` of ``center``.
 
-        Returns an int64 array (unsorted).  Distance is Euclidean and the
-        boundary is inclusive.
+        Returns an int64 array (ascending).  Distance is Euclidean and
+        the boundary is inclusive.  The one-center case of
+        :meth:`query_ball_batch`.
         """
-        if self._root is None:
-            return np.empty(0, dtype=np.int64)
         c = np.asarray(center, dtype=np.float64)
         if c.shape != (self._dim,):
             raise ValueError(f"center must have shape ({self._dim},)")
+        hits, _ = self.query_ball_batch(c[None, :], radius)
+        return hits
+
+    def query_ball_batch(
+        self, centers: np.ndarray, radius: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Indices within ``radius`` of each of many centers, one traversal.
+
+        Returns CSR ``(indices, offsets)``: center ``g``'s hits are
+        ``indices[offsets[g]:offsets[g + 1]]``, ascending.  The tree is
+        walked level by level over (node, center) pairs, from a frontier
+        a few levels down, so the cost follows the tree depth and the
+        pairs touched, not centers x nodes python steps.  Squared distances are summed one axis at a
+        time, left to right, for boxes and points alike — so a box's
+        distance never rounds above that of a point inside it, and a
+        center's hits do not depend on the other centers in the batch.
+        """
+        c = np.asarray(centers, dtype=np.float64)
+        if c.ndim != 2 or c.shape[1] != self._dim:
+            raise ValueError(f"centers must have shape (m, {self._dim})")
+        m = c.shape[0]
+        if self._n == 0 or m == 0:
+            return np.empty(0, dtype=np.int64), np.zeros(m + 1, dtype=np.int64)
         r2 = float(radius) ** 2
-        out: list[np.ndarray] = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            delta = np.maximum(np.maximum(node.lo - c, c - node.hi), 0.0)
-            if float(np.dot(delta, delta)) > r2:
-                continue
-            if node.indices is not None:
-                pts = self._points[node.indices]
-                diff = pts - c
-                mask = np.einsum("ij,ij->i", diff, diff) <= r2
-                if mask.any():
-                    out.append(node.indices[mask])
-                continue
-            stack.append(node.left)  # type: ignore[arg-type]
-            stack.append(node.right)  # type: ignore[arg-type]
-        if not out:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(out)
+        node = np.tile(self._entry, m)
+        owner = np.repeat(np.arange(m, dtype=np.int64), self._entry.size)
+        leaf_node: list[np.ndarray] = []
+        leaf_owner: list[np.ndarray] = []
+        while node.size:
+            keep = (
+                _box_sq_dist(self._node_lo, self._node_hi, node, c, owner) <= r2
+            )
+            if not keep.all():
+                node, owner = node[keep], owner[keep]
+            leaf = self._is_leaf[node]
+            if leaf.any():
+                leaf_node.append(node[leaf])
+                leaf_owner.append(owner[leaf])
+                inner = ~leaf
+                node, owner = node[inner], owner[inner]
+            node = self._children[node].ravel()
+            owner = np.repeat(owner, 2)
+        leaves = np.concatenate(leaf_node) if leaf_node else node
+        leaves_owner = np.concatenate(leaf_owner) if leaf_owner else owner
+        sizes = self._leaf_size_of[leaves]
+        ends = np.cumsum(sizes)
+        hit_owner: list[np.ndarray] = []
+        hit_index: list[np.ndarray] = []
+        # Scan the reached leaves in steps of bounded (center, point) pairs.
+        begin = 0
+        while begin < leaves.size:
+            base = int(ends[begin - 1]) if begin else 0
+            stop = int(np.searchsorted(ends, base + _LEAF_PAIRS, "right"))
+            stop = max(stop, begin + 1)
+            step_sizes = sizes[begin:stop]
+            step_ends = ends[begin:stop] - base
+            shift = np.repeat(
+                step_ends - step_sizes - self._leaf_start[leaves[begin:stop]],
+                step_sizes,
+            )
+            index = self._leaf_order[np.arange(int(step_ends[-1])) - shift]
+            step_owner = np.repeat(leaves_owner[begin:stop], step_sizes)
+            ok = _point_sq_dist(self._points, index, c, step_owner) <= r2
+            hit_owner.append(step_owner[ok])
+            hit_index.append(index[ok])
+            begin = stop
+        all_owner = np.concatenate(hit_owner) if hit_owner else owner[:0]
+        all_index = np.concatenate(hit_index) if hit_index else owner[:0]
+        order = np.lexsort((all_index, all_owner))
+        offsets = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(all_owner, minlength=m), out=offsets[1:])
+        return all_index[order], offsets
 
     def query_nearest(self, center: np.ndarray) -> tuple[int, float]:
         """Index of and distance to the nearest indexed point.
 
         Raises :class:`ValueError` on an empty tree.
         """
-        if self._root is None:
+        if self._n == 0:
             raise ValueError("query_nearest on an empty KDTree")
         c = np.asarray(center, dtype=np.float64)
         best_idx = -1
         best_sq = np.inf
-        stack = [self._root]
+        stack = [0]
         while stack:
             node = stack.pop()
-            delta = np.maximum(np.maximum(node.lo - c, c - node.hi), 0.0)
+            delta = np.maximum(
+                np.maximum(self._node_lo[node] - c, c - self._node_hi[node]), 0.0
+            )
             if float(np.dot(delta, delta)) >= best_sq:
                 continue
-            if node.indices is not None:
-                pts = self._points[node.indices]
-                diff = pts - c
+            if self._is_leaf[node]:
+                first = self._leaf_start[node]
+                indices = self._leaf_order[first : first + self._leaf_size_of[node]]
+                diff = self._points[indices] - c
                 sq = np.einsum("ij,ij->i", diff, diff)
                 local = int(np.argmin(sq))
                 if sq[local] < best_sq:
                     best_sq = float(sq[local])
-                    best_idx = int(node.indices[local])
+                    best_idx = int(indices[local])
                 continue
-            stack.append(node.left)  # type: ignore[arg-type]
-            stack.append(node.right)  # type: ignore[arg-type]
+            stack.extend(self._children[node].tolist())
         return best_idx, float(np.sqrt(best_sq))

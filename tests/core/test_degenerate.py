@@ -121,3 +121,37 @@ class TestTinyInputs:
         result = RPDBSCAN(0.5, 5).fit(pts)
         assert result.n_clusters == 1
         assert result.noise_count == 0
+
+
+class TestGridOverflow:
+    """Cell coordinates that would not fit int64 are refused, not wrapped."""
+
+    def test_tiny_eps_over_wide_range_rejected(self):
+        pts = np.array([[-1e6, 0.0], [1e6, 0.0], [0.0, 1e6]])
+        with pytest.raises(ValueError, match=r"eps=1e-14.*cell side.*-1e\+06, 1e\+06"):
+            RPDBSCAN(1e-14, 2).fit(pts)
+
+    def test_points_near_1e300_rejected(self):
+        # Two points 1.0 apart: a wrapped grid reported both as noise.
+        pts = np.array([[1e300, 0.0], [1e300, 1.0]])
+        with pytest.raises(ValueError, match="int64 grid bound"):
+            RPDBSCAN(1.0, 2).fit(pts)
+
+    def test_memmap_source_checked_too(self, tmp_path):
+        from repro.data.streaming import MemmapSource
+
+        path = tmp_path / "far.npy"
+        np.save(path, np.array([[1e300, 0.0], [1e300, 1.0]]))
+        with pytest.raises(ValueError, match="int64 grid bound"):
+            RPDBSCAN(1.0, 2).fit(MemmapSource.from_npy(path))
+
+    def test_ingest_rejects_out_of_range_points(self):
+        state = RPDBSCAN(1.0, 2).fit(np.array([[0.0, 0.0], [0.5, 0.0]])).state
+        with pytest.raises(ValueError, match="int64 grid bound"):
+            state.ingest(np.array([[1e300, 0.0]]))
+        assert state.points.shape[0] == 2  # nothing committed
+
+    def test_wide_but_representable_range_still_fits(self):
+        pts = np.array([[-1e9, 0.0], [-1e9, 0.5], [1e9, 0.0], [1e9, 0.5]])
+        result = RPDBSCAN(1.0, 2).fit(pts)
+        assert result.n_clusters == 2

@@ -91,6 +91,19 @@ class TestPredict:
             )
 
 
+class TestNonFiniteQueries:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, fitted, bad):
+        _, _, model = fitted
+        queries = np.array([[0.0, 0.0], [bad, 0.0]])
+        with pytest.raises(ValueError, match="NaN/inf"):
+            model.predict(queries)
+
+    def test_finite_rows_still_answered(self, fitted):
+        _, _, model = fitted
+        assert model.predict(np.array([[50.0, 50.0]])).tolist() == [-1]
+
+
 class TestDegenerates:
     def test_zero_dim_points_rejected(self):
         with pytest.raises(ValueError, match="coordinate axis"):

@@ -30,6 +30,47 @@ class TestPredictPath:
                 np.testing.assert_array_equal(labels, offline)
         assert live_segments() == []
 
+    def test_non_finite_request_refused_alone(self, fitted_state, query_points):
+        # One client sends a NaN point while others are in flight; only
+        # that request is answered with MSG_ERROR, the rest get labels.
+        offline = ClusterModel.from_state(fitted_state).predict(query_points)
+        config = ServeConfig(workers=1, batch_window_s=0.02, max_batch=4096)
+        bad = query_points[:2].copy()
+        bad[1, 0] = np.nan
+        outcomes: dict[str, object] = {}
+
+        def good_client(host, port, key):
+            with ServeClient(host, port) as client:
+                outcomes[key] = client.predict(query_points)
+
+        def bad_client(host, port):
+            with ServeClient(host, port) as client:
+                try:
+                    client.predict(bad)
+                except RequestRejected as exc:
+                    outcomes["bad"] = exc
+                # The connection stays usable after the refusal.
+                outcomes["after"] = client.predict(query_points)
+
+        with running_server(fitted_state, config) as server:
+            args = (server.host, server.port)
+            threads = [
+                threading.Thread(target=good_client, args=(*args, f"good{i}"))
+                for i in range(3)
+            ] + [threading.Thread(target=bad_client, args=args)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+            with ServeClient(server.host, server.port) as client:
+                stats = client.stats()
+        assert isinstance(outcomes.get("bad"), RequestRejected)
+        assert "NaN/inf" in str(outcomes["bad"])
+        for key in ("good0", "good1", "good2", "after"):
+            np.testing.assert_array_equal(outcomes[key], offline)
+        assert stats["snapshot"]["serve.errors"] >= 1
+        assert live_segments() == []
+
     def test_many_clients_fuse_into_batches(self, fitted_state, query_points):
         offline = ClusterModel.from_state(fitted_state).predict(query_points)
         config = ServeConfig(workers=2, batch_window_s=0.005, max_batch=4096)

@@ -37,6 +37,13 @@ class TestPointsCodec:
         with pytest.raises(wire.WireFormatError, match="expected"):
             wire.decode_points(payload[:-1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
+        pts = np.zeros((3, 2))
+        pts[1, 0] = bad
+        with pytest.raises(wire.WireFormatError, match="NaN/inf"):
+            wire.decode_points(wire.encode_points(pts))
+
     def test_zero_dim_rejected(self):
         import struct
 

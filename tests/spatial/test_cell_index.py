@@ -62,6 +62,62 @@ class TestStrategiesAgree:
             assert enum.candidates(query) == tree.candidates(query)
 
 
+class TestBatchMatchesScalar:
+    """``candidate_rows_batch`` must equal per-query ``candidate_rows``
+    on both strategies, foreign (empty) query cells included."""
+
+    @pytest.mark.parametrize("strategy", ["enumerate", "kdtree"])
+    def test_fixed_queries(self, random_cells_2d, strategy):
+        side = 0.5
+        finder = NeighborCellFinder(
+            random_cells_2d, side, side * math.sqrt(2), strategy=strategy
+        )
+        queries = np.array([(0, 0), (3, -2), (-6, 6), (100, 100), (0, 0)])
+        rows, offsets = finder.candidate_rows_batch(queries)
+        for g, query in enumerate(queries):
+            np.testing.assert_array_equal(
+                rows[offsets[g] : offsets[g + 1]],
+                finder.candidate_rows(tuple(int(v) for v in query)),
+            )
+
+    @pytest.mark.parametrize("strategy", ["enumerate", "kdtree"])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_random_queries(self, dim, strategy):
+        rng = np.random.default_rng(10 + dim)
+        cells = np.unique(rng.integers(-5, 6, (200, dim)), axis=0)
+        side = 0.3
+        finder = NeighborCellFinder(
+            cells, side, side * math.sqrt(dim), strategy=strategy
+        )
+        queries = rng.integers(-7, 8, (300, dim))
+        rows, offsets = finder.candidate_rows_batch(queries)
+        for g, query in enumerate(queries):
+            np.testing.assert_array_equal(
+                rows[offsets[g] : offsets[g + 1]],
+                finder.candidate_rows(tuple(int(v) for v in query)),
+            )
+
+    def test_kdtree_high_dimensional(self):
+        rng = np.random.default_rng(13)
+        cells = np.unique(rng.integers(-2, 3, (400, 13)), axis=0)
+        side = 0.4
+        finder = NeighborCellFinder(cells, side, side * math.sqrt(13))
+        assert finder.strategy == "kdtree"
+        queries = np.concatenate([cells[:50], rng.integers(-3, 4, (50, 13))])
+        rows, offsets = finder.candidate_rows_batch(queries)
+        for g, query in enumerate(queries):
+            np.testing.assert_array_equal(
+                rows[offsets[g] : offsets[g + 1]],
+                finder.candidate_rows(tuple(int(v) for v in query)),
+            )
+
+    @pytest.mark.parametrize("strategy", ["enumerate", "kdtree"])
+    def test_empty_batch(self, random_cells_2d, strategy):
+        finder = NeighborCellFinder(random_cells_2d, 0.5, 0.5, strategy=strategy)
+        rows, offsets = finder.candidate_rows_batch(np.empty((0, 2), dtype=np.int64))
+        assert rows.size == 0 and offsets.tolist() == [0]
+
+
 class TestAutoStrategy:
     def test_low_dim_auto_is_enumerate(self):
         finder = NeighborCellFinder({(0, 0)}, 1.0, math.sqrt(2))

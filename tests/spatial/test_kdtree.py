@@ -52,6 +52,33 @@ class TestQueryBall:
         )
 
 
+class TestQueryBallBatch:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 13])
+    @pytest.mark.parametrize("leaf_size", [1, 4, 32])
+    def test_matches_scalar_query_ball(self, dim, leaf_size):
+        rng = np.random.default_rng(dim * 100 + leaf_size)
+        pts = rng.normal(size=(300, dim))
+        tree = KDTree(pts, leaf_size=leaf_size)
+        centers = np.concatenate([rng.normal(size=(40, dim)), pts[:10]])
+        radius = 0.8 * np.sqrt(dim)
+        hits, offsets = tree.query_ball_batch(centers, radius)
+        assert offsets.shape == (centers.shape[0] + 1,)
+        for g, center in enumerate(centers):
+            got = hits[offsets[g] : offsets[g + 1]]
+            assert np.all(np.diff(got) > 0)  # ascending, no duplicates
+            np.testing.assert_array_equal(got, np.sort(tree.query_ball(center, radius)))
+
+    def test_empty_tree_and_no_centers(self):
+        hits, offsets = KDTree(np.empty((0, 2))).query_ball_batch(np.zeros((3, 2)), 1.0)
+        assert hits.size == 0 and offsets.tolist() == [0, 0, 0, 0]
+        hits, offsets = KDTree(np.zeros((4, 2))).query_ball_batch(np.empty((0, 2)), 1.0)
+        assert hits.size == 0 and offsets.tolist() == [0]
+
+    def test_wrong_center_shape(self):
+        with pytest.raises(ValueError):
+            KDTree(np.zeros((5, 3))).query_ball_batch(np.zeros((2, 2)), 1.0)
+
+
 class TestQueryNearest:
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(4)
