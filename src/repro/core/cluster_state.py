@@ -524,13 +524,17 @@ def _partitions_over_cells(
         lo = int(starts[group[0]])
         hi = int(starts[group[-1]] + counts[group[-1]])
         sel = order[lo:hi]
-        slices: dict[tuple, tuple[int, int]] = {}
-        for g in group.tolist():
-            cell_id = tuple(int(v) for v in dictionary.cell_ids[cells[g]])
-            slices[cell_id] = (
-                int(starts[g]) - lo,
-                int(starts[g] + counts[g]) - lo,
+        # Bulk conversion to python ints: one tolist per partition, not
+        # one small array per cell.
+        slices: dict[tuple, tuple[int, int]] = {
+            tuple(cell_id): (start - lo, start + count - lo)
+            for cell_id, start, count in zip(
+                dictionary.cell_ids[cells[group]].tolist(),
+                starts[group].tolist(),
+                counts[group].tolist(),
+                strict=True,
             )
+        }
         partitions.append(
             Partition(
                 pid=pid,

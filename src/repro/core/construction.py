@@ -185,14 +185,17 @@ def build_cell_subgraph(
 
     # One sweep answers every point of every cell (lines 8-10), then
     # marks core points and core cells (lines 11-12).
-    result = context.engine.query_partition(cell_ids, partition.points, bounds)
+    result = context.engine.query_partition(
+        cell_ids, partition.points, bounds, float(min_pts)
+    )
     core_mask = result.counts >= float(min_pts)
     core_rows = rows[np.add.reduceat(core_mask, bounds[:-1]) > 0] if rows.size else rows
 
     # Edges (lines 13-16): cells reachable from a cell = the candidates
-    # holding a neighbor sub-cell of one of its core points.  Slots
-    # come grouped by cell in partition order, ascending within a cell.
-    touched = result.touched_slots(core_mask)
+    # holding a neighbor sub-cell of one of its core points (the
+    # sweep's touched slots at min_count = minPts).  Slots come grouped
+    # by cell in partition order, ascending within a cell.
+    touched = result.touched
     slot_cell = np.repeat(rows, np.diff(result.cand_offsets))
     src = slot_cell[touched]
     dst = result.cand_rows[touched]

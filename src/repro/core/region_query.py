@@ -74,8 +74,8 @@ PAIR_BUDGET = 1 << 16
 def _partial_slots(
     pair_slot: np.ndarray, partial: np.ndarray, n_slots: int
 ) -> np.ndarray:
-    """Ascending candidate slots partially contained for at least one
-    point of a sweep step."""
+    """Ascending step-local candidate slots partially contained for at
+    least one point of a sweep step (``n_slots`` is the step's)."""
     used = np.zeros(n_slots, dtype=bool)
     used[pair_slot[partial]] = True
     return np.flatnonzero(used)
@@ -115,9 +115,9 @@ class CellBatchQueryResult:
 class PartitionQueryResult:
     """Answers for a block of points grouped by cell (one sweep).
 
-    Group ``g`` owns points ``point_offsets[g]:point_offsets[g + 1]``
-    and candidate *slots* ``cand_offsets[g]:cand_offsets[g + 1]``; slot
-    ``s`` is dictionary row ``cand_rows[s]``, ascending within a group.
+    Group ``g`` owns candidate *slots* ``cand_offsets[g]:cand_offsets[g
+    + 1]``; slot ``s`` is dictionary row ``cand_rows[s]``, ascending
+    within a group.
 
     Attributes
     ----------
@@ -125,46 +125,17 @@ class PartitionQueryResult:
         ``(n,)`` float64 neighbor densities, aligned with the points.
     cand_rows, cand_offsets:
         CSR candidate rows per group.
-    point_offsets:
-        ``(G + 1,)`` CSR point bounds per group.
-    pair_offsets:
-        ``(G + 1,)``: group ``g``'s (point, slot) pairs are
-        ``touch[pair_offsets[g]:pair_offsets[g + 1]]``, row-major
-        ``(n_g, m_g)``.
-    touch:
-        ``(P,)`` bool: the pair's point has a neighbor sub-cell in the
-        slot's cell.
+    touched:
+        ``(K,)`` bool per slot: a point of the slot's group whose count
+        reaches the sweep's ``min_count`` has a neighbor sub-cell in the
+        slot's cell.  With ``min_count = minPts`` this is Algorithm 3
+        line 13's reachability from the group's core points.
     """
 
     counts: np.ndarray
     cand_rows: np.ndarray
     cand_offsets: np.ndarray
-    point_offsets: np.ndarray
-    pair_offsets: np.ndarray
-    touch: np.ndarray
-
-    def group_touch(self, group: int) -> np.ndarray:
-        """Group ``group``'s ``(n_g, m_g)`` touch matrix."""
-        n_g = int(self.point_offsets[group + 1] - self.point_offsets[group])
-        m_g = int(self.cand_offsets[group + 1] - self.cand_offsets[group])
-        block = self.touch[self.pair_offsets[group] : self.pair_offsets[group + 1]]
-        return block.reshape(n_g, m_g)
-
-    def touched_slots(self, point_mask: np.ndarray) -> np.ndarray:
-        """``(K,)`` bool per candidate slot: touched by at least one
-        point selected by ``point_mask`` (``(n,)`` bool) of its group —
-        Algorithm 3 line 13's reachability over the core points."""
-        slots = np.zeros(self.cand_rows.shape[0], dtype=bool)
-        m_group = np.diff(self.cand_offsets)
-        # Touched pairs, PAIR_BUDGET at a time: each one's group, then
-        # its point and slot within the group's row-major block.
-        for begin in range(0, self.touch.size, PAIR_BUDGET):
-            pairs = begin + np.flatnonzero(self.touch[begin : begin + PAIR_BUDGET])
-            group = np.searchsorted(self.pair_offsets, pairs, side="right") - 1
-            point, slot = np.divmod(pairs - self.pair_offsets[group], m_group[group])
-            keep = point_mask[self.point_offsets[group] + point]
-            slots[self.cand_offsets[group[keep]] + slot[keep]] = True
-        return slots
+    touched: np.ndarray
 
 
 class RegionQueryEngine:
@@ -290,111 +261,131 @@ class RegionQueryEngine:
         cell_ids: np.ndarray,
         points: np.ndarray,
         point_offsets: np.ndarray,
+        min_count: float,
     ) -> PartitionQueryResult:
         """Run the (eps, rho)-region query for every point of a block.
 
         ``cell_ids`` is ``(G, d)`` int64; group ``g``'s points are
         ``points[point_offsets[g]:point_offsets[g + 1]]`` and are tested
         against the candidates of ``cell_ids[g]`` (see the module
-        docstring for the contract).  Results align with ``points``.
+        docstring for the contract).  Counts align with ``points``; a
+        candidate slot is :attr:`~PartitionQueryResult.touched` when a
+        point of its group with a count of at least ``min_count``
+        reaches it.  Touch is folded into those flags one step at a
+        time, so no per-pair array outlives its step.
         """
-        dim = self.geometry.dim
-        cells = np.ascontiguousarray(cell_ids, dtype=np.int64).reshape(-1, dim)
-        pts = np.ascontiguousarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != dim:
-            raise ValueError(f"points must be (n, {dim})")
+        cells = np.ascontiguousarray(cell_ids, dtype=np.int64).reshape(
+            -1, self.geometry.dim
+        )
+        pts = self._query_points(points)
         bounds = np.asarray(point_offsets, dtype=np.int64)
-        n_groups = cells.shape[0]
-        n = pts.shape[0]
         if (
-            bounds.shape != (n_groups + 1,)
+            bounds.shape != (cells.shape[0] + 1,)
             or bounds[0] != 0
-            or bounds[-1] != n
+            or bounds[-1] != pts.shape[0]
             or np.any(np.diff(bounds) < 0)
         ):
             raise ValueError("point_offsets must be (G + 1,) CSR bounds over points")
+        cand_rows, cand_offsets = self._candidates(cells)
+        counts = np.zeros(pts.shape[0], dtype=np.float64)
+        touched = np.zeros(cand_rows.size, dtype=bool)
+        for pair_point, pair_slot, touch in self._sweep(
+            pts, bounds, cand_rows, cand_offsets, counts
+        ):
+            reach = touch & (counts[pair_point] >= min_count)
+            touched[pair_slot[reach]] = True
+        return PartitionQueryResult(counts, cand_rows, cand_offsets, touched)
+
+    def _query_points(self, points: np.ndarray) -> np.ndarray:
+        """``points`` as a C-contiguous float64 ``(n, d)`` block."""
+        pts = np.ascontiguousarray(points, dtype=np.float64)
+        if pts.ndim != 2 or pts.shape[1] != self.geometry.dim:
+            raise ValueError(f"points must be (n, {self.geometry.dim})")
+        return pts
+
+    def _candidates(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """CSR candidate rows of ``cells``, recorded as consulted."""
         cand_rows, cand_offsets = self._finder.candidate_rows_batch(cells)
         if self._recorder is not None:
             self._recorder.record_rows_consulted_batch(cand_rows, cand_offsets)
-        m_group = np.diff(cand_offsets)
-        pair_offsets = np.zeros(n_groups + 1, dtype=np.int64)
-        np.cumsum(np.diff(bounds) * m_group, out=pair_offsets[1:])
-        counts = np.zeros(n, dtype=np.float64)
-        touch = np.zeros(int(pair_offsets[-1]), dtype=bool)
-        result = PartitionQueryResult(
-            counts, cand_rows, cand_offsets, bounds, pair_offsets, touch
-        )
-        if touch.size == 0:
-            return result
+        return cand_rows, cand_offsets
 
-        # Per point: its first slot, slot count, and first pair.
-        point_group = np.repeat(np.arange(n_groups, dtype=np.int64), np.diff(bounds))
-        point_m = m_group[point_group]
-        point_slot = cand_offsets[point_group]
+    def _sweep(self, pts, bounds, cand_rows, cand_offsets, counts):
+        """Answer every point into ``counts``, one step at a time.
+
+        Yields each step's ``(pair_point, pair_slot, touch)``, one entry
+        per (point, candidate) pair, point-major.  A step holds whole
+        points and at most ``PAIR_BUDGET`` pairs (a point with more
+        candidates than that is a step by itself), so a point's count is
+        final when its step is yielded.
+        """
+        n = pts.shape[0]
         point_pair = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(point_m, out=point_pair[1:])
-        slot_counts = self._cell_counts[cand_rows]
-
-        # Steps of whole points, each holding at most PAIR_BUDGET pairs
-        # (a point with more candidates than that is a step by itself).
+        np.cumsum(
+            np.repeat(np.diff(cand_offsets), np.diff(bounds)), out=point_pair[1:]
+        )
         begin = 0
-        while begin < n:
+        while begin < n and point_pair[begin] < point_pair[n]:
             stop = int(
                 np.searchsorted(point_pair, point_pair[begin] + PAIR_BUDGET, "right")
             ) - 1
             stop = min(n, max(stop, begin + 1))
-            self._sweep_step(
-                pts, begin, stop, point_pair, point_slot, point_m,
-                cand_rows, slot_counts, counts, touch,
+            yield self._sweep_step(
+                pts, bounds, cand_rows, cand_offsets, point_pair, begin, stop, counts
             )
             begin = stop
-        return result
 
     def _sweep_step(
-        self, pts, begin, stop, point_pair, point_slot, point_m,
-        cand_rows, slot_counts, counts, touch,
-    ) -> None:
-        """Classify and answer the pairs of points ``begin:stop``."""
-        pair_lo, pair_hi = int(point_pair[begin]), int(point_pair[stop])
-        step_pts = pts[begin:stop]
-        step_m = point_m[begin:stop]
-        step_pair = point_pair[begin:stop] - pair_lo
-        # Step-local point of every pair, and the pair's global slot.
+        self, pts, bounds, cand_rows, cand_offsets, point_pair, begin, stop, counts
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Classify and answer the pairs of points ``begin:stop``.
+
+        The step's candidate slots are one contiguous range of
+        ``cand_rows``; the step works on slot indices local to it, so
+        its scratch is sized to the step, not to the partition."""
+        group = np.searchsorted(bounds, np.arange(begin, stop), "right") - 1
+        step_slot = cand_offsets[group]
+        step_m = cand_offsets[group + 1] - step_slot
+        slot_base = int(step_slot[0])
+        rows = cand_rows[slot_base : int(step_slot[-1] + step_m[-1])]
+        step_slot -= slot_base
+        step_pair = point_pair[begin:stop] - point_pair[begin]
+        n_pairs = int(point_pair[stop] - point_pair[begin])
+        # Step-local point and slot of every pair.
         pair_pt = np.repeat(np.arange(stop - begin, dtype=np.int64), step_m)
-        pair_slot = point_slot[begin:stop][pair_pt] + (
-            np.arange(pair_hi - pair_lo, dtype=np.int64) - step_pair[pair_pt]
+        pair_slot = step_slot[pair_pt] + (
+            np.arange(n_pairs, dtype=np.int64) - step_pair[pair_pt]
         )
-        # The step's candidate slots are one contiguous range.
-        slot_base = int(point_slot[begin])
-        slot_stop = int(point_slot[stop - 1] + point_m[stop - 1])
-        near, full = self._classify_pairs(
-            step_pts, pair_pt, cand_rows[slot_base:slot_stop], pair_slot - slot_base
-        )
+        step_pts = pts[begin:stop]
+        near, full = self._classify_pairs(step_pts, pair_pt, rows, pair_slot)
+        slot_counts = self._cell_counts[rows]
         step_counts = counts[begin:stop]
-        step_touch = touch[pair_lo:pair_hi]
+        touch = np.zeros(n_pairs, dtype=bool)
         if self._impl is not None:
             self._step_kernel(
-                step_pts, step_pair, point_slot[begin:stop], step_m, pair_slot,
-                cand_rows, near, full, slot_counts, step_counts, step_touch,
+                step_pts, step_pair, step_slot, step_m, pair_slot,
+                rows, near, full, slot_counts, step_counts, touch,
             )
-            return
-        # Fully-contained candidates (Example 5.5 case 1): every sub-cell
-        # center is a neighbor, so the root density counts wholesale.
-        full_pairs = np.flatnonzero(full)
-        step_counts += np.bincount(
-            pair_pt[full_pairs],
-            weights=slot_counts[pair_slot[full_pairs]],
-            minlength=stop - begin,
-        )
-        step_touch[full_pairs] = True
-        # Partially-contained candidates (case 2): test their sub-cell
-        # centers.
-        partial = near & ~full
-        if partial.any():
-            self._partial_dense(
-                step_pts, step_pair, step_m, point_slot[begin:stop], pair_slot,
-                partial, cand_rows, step_counts, step_touch,
+        else:
+            # Fully-contained candidates (Example 5.5 case 1): every
+            # sub-cell center is a neighbor, so the root density counts
+            # wholesale.
+            full_pairs = np.flatnonzero(full)
+            step_counts += np.bincount(
+                pair_pt[full_pairs],
+                weights=slot_counts[pair_slot[full_pairs]],
+                minlength=stop - begin,
             )
+            touch[full_pairs] = True
+            # Partially-contained candidates (case 2): test their
+            # sub-cell centers.
+            partial = near & ~full
+            if partial.any():
+                self._partial_dense(
+                    step_pts, step_pair, step_m, step_slot, pair_slot,
+                    partial, rows, step_counts, touch,
+                )
+        return begin + pair_pt, slot_base + pair_slot, touch
 
     def _classify_pairs(
         self,
@@ -450,14 +441,14 @@ class RegionQueryEngine:
 
     def _partial_dense(
         self, step_pts, step_pair, step_m, step_slot, pair_slot, partial,
-        cand_rows, step_counts, step_touch,
+        slot_rows, step_counts, step_touch,
     ) -> None:
         """The vectorized reference backend (``kernel="numpy"``) for the
         partially contained pairs of one step: one pool gather for the
         step, then one dense ``(points, sub-cells)`` block per cell."""
         eps2 = self.geometry.eps * self.geometry.eps
-        part_slots = _partial_slots(pair_slot, partial, cand_rows.size)
-        rows = cand_rows[part_slots]
+        part_slots = _partial_slots(pair_slot, partial, slot_rows.size)
+        rows = slot_rows[part_slots]
         sizes = self._sub_sizes[rows]
         centers, densities, starts = self._subcell_pool(rows)
         sub = csr_gather_indices(starts, sizes)
@@ -507,19 +498,19 @@ class RegionQueryEngine:
 
     def _step_kernel(
         self, step_pts, step_pair, step_slot, step_m, pair_slot,
-        cand_rows, near, full, slot_counts, step_counts, step_touch,
+        slot_rows, near, full, slot_counts, step_counts, step_touch,
     ) -> None:
         """The compiled backend (``kernel="numba"``; ``"python"`` runs
         the same source uncompiled).  Bit-identical to the numpy path:
         the within decision shares the sequential per-dimension
         accumulation and density sums are exact integer arithmetic in
         float64 (see :mod:`repro.kernels.phase2`)."""
-        n_slots = cand_rows.size
+        n_slots = slot_rows.size
         seg_start = np.zeros(n_slots, dtype=np.int64)
         seg_size = np.zeros(n_slots, dtype=np.int64)
         partial_slots = _partial_slots(pair_slot, near & ~full, n_slots)
         if partial_slots.size:
-            rows = cand_rows[partial_slots]
+            rows = slot_rows[partial_slots]
             centers, densities, starts = self._subcell_pool(rows)
             seg_start[partial_slots] = starts
             seg_size[partial_slots] = self._sub_sizes[rows]
@@ -551,20 +542,26 @@ class RegionQueryEngine:
         """The sweep's one-group case: every point of ``points`` queried
         against the candidates of ``cell_id`` (see the module docstring
         for the contract); the result aligns with the row order of
-        ``points``."""
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2:
-            raise ValueError("points must be (n, d)")
-        result = self.query_partition(
-            np.asarray(cell_id, dtype=np.int64)[None, :],
-            pts,
-            np.array([0, pts.shape[0]], dtype=np.int64),
+        ``points`` and keeps every point's touch row."""
+        pts = self._query_points(points)
+        n = pts.shape[0]
+        rows, offsets = self._candidates(
+            np.asarray(cell_id, dtype=np.int64).reshape(1, self.geometry.dim)
         )
-        rows = result.cand_rows
+        counts = np.zeros(n, dtype=np.float64)
+        # Steps come in pair order, so their touch arrays concatenate
+        # into the row-major (n, m) matrix.
+        steps = [
+            touch
+            for _, _, touch in self._sweep(
+                pts, np.array([0, n], dtype=np.int64), rows, offsets, counts
+            )
+        ]
+        touch = np.concatenate(steps) if steps else np.zeros(0, dtype=bool)
         return CellBatchQueryResult(
             candidate_ids=[tuple(row) for row in self._finder.cell_ids[rows].tolist()],
-            counts=result.counts,
-            touch=result.group_touch(0),
+            counts=counts,
+            touch=touch.reshape(n, rows.size),
             candidate_rows=rows,
         )
 

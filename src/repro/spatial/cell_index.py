@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.spatial.distance import sum_of_squares
 from repro.spatial.grid import MAX_ENUMERATED_OFFSETS, neighbor_cell_offsets
 from repro.spatial.kdtree import KDTree
 
@@ -35,11 +36,10 @@ __all__ = ["NeighborCellFinder"]
 CellId = tuple[int, ...]
 
 #: Pair budget of one kd-tree batch chunk (``(query, hit)`` pairs), and
-#: the query count of the first chunk before a hit rate is known.
+#: the query count of the first chunk before a hit rate is known.  The
+#: tree bounds its own traversal pairs (:mod:`repro.spatial.kdtree`).
 _TREE_PAIR_BUDGET = 1 << 16
 _TREE_CHUNK_QUERIES = 64
-#: Largest ``(hits, d)`` block the box-gap filter builds in one piece.
-_GAP_BLOCK_ELEMENTS = 1 << 12
 
 
 def _normalize_ids(
@@ -178,6 +178,8 @@ class NeighborCellFinder:
     def _build_tree(self) -> None:
         centers = (self._ids.astype(np.float64) + 0.5) * self.side
         self._tree = KDTree(centers)
+        # Axis-major ids for the box-gap filter's per-axis gathers.
+        self._ids_t = self._ids.T.copy()
 
     def candidate_rows(self, cell_id: CellId) -> np.ndarray:
         """Ascending dense rows (into :attr:`cell_ids`) of the non-empty
@@ -218,24 +220,18 @@ class NeighborCellFinder:
         self, hits: np.ndarray, bases: np.ndarray, owner: np.ndarray
     ) -> np.ndarray:
         """Exact box-to-box test of hit rows against their query cells
-        ``bases[owner]``.  Gaps are summed over the axes left to right:
-        small batches in one block, large ones axis by axis so no
-        temporary is ``(hits, d)`` — the scalar and batch paths share
-        one summation order."""
-        bound = (self.eps * (1 + 1e-12)) ** 2
-        if hits.size * self.dim <= _GAP_BLOCK_ELEMENTS:
-            gap = np.abs(self._ids[hits] - bases[owner]) - 1
-            np.maximum(gap, 0, out=gap)
-            scaled = gap.astype(np.float64) * self.side
-            scaled *= scaled
-            return np.cumsum(scaled, axis=1)[:, -1] <= bound
-        gap2 = np.zeros(hits.size, dtype=np.float64)
-        for axis in range(self.dim):
-            gap = np.abs(self._ids[hits, axis] - bases[owner, axis]) - 1
-            np.maximum(gap, 0, out=gap)
-            scaled = gap.astype(np.float64) * self.side
-            gap2 += scaled * scaled
-        return gap2 <= bound
+        ``bases[owner]``.  Gaps are summed one axis at a time, left to
+        right, so no temporary is ``(hits, d)`` and the scalar and batch
+        paths share one summation order."""
+        bases_t = bases.T.copy()
+        gaps = (
+            np.maximum(np.abs(self._ids_t[k][hits] - bases_t[k][owner]) - 1, 0).astype(
+                np.float64
+            )
+            * self.side
+            for k in range(self.dim)
+        )
+        return sum_of_squares(gaps, hits.size) <= (self.eps * (1 + 1e-12)) ** 2
 
     def candidate_rows_batch(
         self, query_ids: np.ndarray

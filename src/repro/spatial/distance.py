@@ -7,6 +7,8 @@ roots wherever a squared comparison suffices.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 __all__ = [
@@ -14,6 +16,7 @@ __all__ = [
     "squared_distances",
     "pairwise_distances",
     "seq_squared_distances",
+    "sum_of_squares",
     "points_within",
     "count_within",
 ]
@@ -88,11 +91,27 @@ def seq_squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("seq_squared_distances expects 2-d arrays")
     if a.shape[1] != b.shape[1]:
         raise ValueError("seq_squared_distances expects matching dimensions")
-    d2 = np.zeros((a.shape[0], b.shape[0]), dtype=np.float64)
-    for k in range(a.shape[1]):
-        diff = a[:, k, None] - b[None, :, k]
-        d2 += diff * diff
-    return d2
+    return sum_of_squares(
+        (a[:, k, None] - b[None, :, k] for k in range(a.shape[1])),
+        (a.shape[0], b.shape[0]),
+    )
+
+
+def sum_of_squares(
+    terms: Iterable[np.ndarray], shape: int | tuple[int, ...]
+) -> np.ndarray:
+    """``((0 + t_0^2) + t_1^2) + ...`` over per-axis ``terms``, in order.
+
+    The one summation order every squared-distance test of the
+    region-query path shares (sub-cell centers here, kd-tree boxes and
+    points, cell box gaps): exactly rounded elementwise steps, one
+    axis at a time.  Pass the terms lazily (a generator) and no
+    temporary holds more than one axis.
+    """
+    total = np.zeros(shape, dtype=np.float64)
+    for term in terms:
+        total += term * term
+    return total
 
 
 def points_within(points: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:

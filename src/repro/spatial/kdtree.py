@@ -7,66 +7,37 @@ enumeration is exponential in ``d``; this kd-tree is the high-dimensional
 fallback, built once over the centers of the *non-empty* cells.
 
 The implementation is a classic median-split kd-tree.  Ball queries run
-on an array form of it, many centers at once: the tree is walked level by
-level over (node, center) pairs, so a batch of queries costs one numpy
-pass per level instead of one python step per node and query.  It is
-deliberately simple: the number of non-empty cells is small compared to
-the number of points.
+on an array form of it, many centers at once: the tree is walked over
+blocks of (node, center) pairs, so a batch of queries costs one numpy
+pass per block instead of one python step per node and query.  Every
+step of a walk holds at most ``_PAIR_BUDGET`` pairs, so its memory does
+not grow with the batch.  It is deliberately simple: the number of
+non-empty cells is small compared to the number of points.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.spatial.distance import sum_of_squares
+
 __all__ = ["KDTree"]
 
 _LEAF_SIZE = 32
-#: Largest ``(pairs, d)`` block a ball query builds in one piece; bigger
-#: steps are summed axis by axis so no temporary outgrows ``(pairs,)``.
-_BLOCK_ELEMENTS = 1 << 12
-#: Most (center, point) pairs one leaf-scan step of a ball query expands.
-_LEAF_PAIRS = 1 << 15
+#: Most (node, center) pairs one traversal step of a ball query tests,
+#: and most (center, point) pairs one leaf-scan step expands.
+_PAIR_BUDGET = 1 << 15
 #: Depth of the node frontier (at most 2**depth nodes) ball queries
 #: start from.
 _ENTRY_DEPTH = 8
 
 
-def _box_sq_dist(
-    lo: np.ndarray, hi: np.ndarray, node: np.ndarray, c: np.ndarray, owner: np.ndarray
-) -> np.ndarray:
-    """Squared distance from each ``c[owner]`` to box ``[lo, hi][node]``,
-    summed over the axes left to right.  Small steps take one block
-    (``cumsum`` runs along each row in order), large ones go axis by
-    axis; both sum in the same order."""
-    dim = lo.shape[1]
-    if dim and node.size * dim <= _BLOCK_ELEMENTS:
-        q = c[owner]
-        gap = np.maximum(np.maximum(lo[node] - q, q - hi[node]), 0.0)
-        gap *= gap
-        return np.cumsum(gap, axis=1)[:, -1]
-    d2 = np.zeros(node.size, dtype=np.float64)
-    for k in range(dim):
-        q = c[owner, k]
-        gap = np.maximum(np.maximum(lo[node, k] - q, q - hi[node, k]), 0.0)
-        d2 += gap * gap
-    return d2
-
-
-def _point_sq_dist(
-    points: np.ndarray, index: np.ndarray, c: np.ndarray, owner: np.ndarray
-) -> np.ndarray:
-    """Squared distance of each ``points[index]`` to ``c[owner]``, in the
-    summation order of :func:`_box_sq_dist`."""
-    dim = points.shape[1]
-    if dim and index.size * dim <= _BLOCK_ELEMENTS:
-        diff = points[index] - c[owner]
-        diff *= diff
-        return np.cumsum(diff, axis=1)[:, -1]
-    d2 = np.zeros(index.size, dtype=np.float64)
-    for k in range(dim):
-        diff = points[index, k] - c[owner, k]
-        d2 += diff * diff
-    return d2
+def _box_gaps(lo_t, hi_t, node, c_t, owner):
+    """Per axis, the gap from each center ``c_t[:, owner]`` to box
+    ``[lo_t, hi_t][:, node]`` (all arrays stored axis-major)."""
+    for k in range(lo_t.shape[0]):
+        q = c_t[k][owner]
+        yield np.maximum(np.maximum(lo_t[k][node] - q, q - hi_t[k][node]), 0.0)
 
 
 class KDTree:
@@ -102,8 +73,13 @@ class KDTree:
             self._build(
                 np.arange(self._n, dtype=np.int64), lo, hi, left, right, size, leaves
             )
-        self._node_lo = np.array(lo, dtype=np.float64).reshape(-1, self._dim)
-        self._node_hi = np.array(hi, dtype=np.float64).reshape(-1, self._dim)
+        # Box corners are kept axis-major, ``(d, nodes)``, and so is a
+        # copy of the points: ball queries gather one axis at a time,
+        # and a 1-d gather is about twice as fast as a column gather
+        # from a row-major array.
+        self._lo_t = np.array(lo, dtype=np.float64).reshape(-1, self._dim).T.copy()
+        self._hi_t = np.array(hi, dtype=np.float64).reshape(-1, self._dim).T.copy()
+        self._points_t = pts.T.copy()
         self._children = np.column_stack((left, right)).astype(np.int64)
         self._is_leaf = self._children[:, 0] < 0
         # Ball queries start from the tree's frontier after a few levels
@@ -186,12 +162,13 @@ class KDTree:
 
         Returns CSR ``(indices, offsets)``: center ``g``'s hits are
         ``indices[offsets[g]:offsets[g + 1]]``, ascending.  The tree is
-        walked level by level over (node, center) pairs, from a frontier
-        a few levels down, so the cost follows the tree depth and the
-        pairs touched, not centers x nodes python steps.  Squared distances are summed one axis at a
-        time, left to right, for boxes and points alike — so a box's
-        distance never rounds above that of a point inside it, and a
-        center's hits do not depend on the other centers in the batch.
+        walked over blocks of (node, center) pairs, from a frontier a
+        few levels down, so the cost follows the tree depth and the
+        pairs touched, not centers x nodes python steps.  Squared
+        distances are summed one axis at a time, left to right, for
+        boxes and points alike — so a box's distance never rounds above
+        that of a point inside it, and a center's hits do not depend on
+        the other centers in the batch.
         """
         c = np.asarray(centers, dtype=np.float64)
         if c.ndim != 2 or c.shape[1] != self._dim:
@@ -200,35 +177,51 @@ class KDTree:
         if self._n == 0 or m == 0:
             return np.empty(0, dtype=np.int64), np.zeros(m + 1, dtype=np.int64)
         r2 = float(radius) ** 2
-        node = np.tile(self._entry, m)
-        owner = np.repeat(np.arange(m, dtype=np.int64), self._entry.size)
-        leaf_node: list[np.ndarray] = []
-        leaf_owner: list[np.ndarray] = []
-        while node.size:
-            keep = (
-                _box_sq_dist(self._node_lo, self._node_hi, node, c, owner) <= r2
-            )
-            if not keep.all():
-                node, owner = node[keep], owner[keep]
-            leaf = self._is_leaf[node]
-            if leaf.any():
-                leaf_node.append(node[leaf])
-                leaf_owner.append(owner[leaf])
-                inner = ~leaf
-                node, owner = node[inner], owner[inner]
-            node = self._children[node].ravel()
-            owner = np.repeat(owner, 2)
-        leaves = np.concatenate(leaf_node) if leaf_node else node
-        leaves_owner = np.concatenate(leaf_owner) if leaf_owner else owner
-        sizes = self._leaf_size_of[leaves]
-        ends = np.cumsum(sizes)
+        c_t = c.T.copy()
         hit_owner: list[np.ndarray] = []
         hit_index: list[np.ndarray] = []
-        # Scan the reached leaves in steps of bounded (center, point) pairs.
+        # Centers go in chunks whose entry pairs fit the budget.  Each
+        # chunk is walked depth first over blocks of at most
+        # _PAIR_BUDGET pairs, so the pending blocks hold at most two
+        # per tree level.
+        chunk = max(1, _PAIR_BUDGET // self._entry.size)
+        for first in range(0, m, chunk):
+            owners = np.arange(first, min(m, first + chunk), dtype=np.int64)
+            pending = [
+                (np.tile(self._entry, owners.size), np.repeat(owners, self._entry.size))
+            ]
+            while pending:
+                node, owner = pending.pop()
+                d2 = sum_of_squares(
+                    _box_gaps(self._lo_t, self._hi_t, node, c_t, owner), node.size
+                )
+                keep = d2 <= r2
+                node, owner = node[keep], owner[keep]
+                leaf = self._is_leaf[node]
+                self._scan_leaves(node[leaf], owner[leaf], c_t, r2, hit_owner, hit_index)
+                node = self._children[node[~leaf]].ravel()
+                owner = np.repeat(owner[~leaf], 2)
+                for b in range(0, node.size, _PAIR_BUDGET):
+                    pending.append(
+                        (node[b : b + _PAIR_BUDGET], owner[b : b + _PAIR_BUDGET])
+                    )
+        all_owner = np.concatenate(hit_owner + [np.empty(0, dtype=np.int64)])
+        all_index = np.concatenate(hit_index + [np.empty(0, dtype=np.int64)])
+        order = np.lexsort((all_index, all_owner))
+        offsets = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(all_owner, minlength=m), out=offsets[1:])
+        return all_index[order], offsets
+
+    def _scan_leaves(self, leaves, owner, c_t, r2, hit_owner, hit_index) -> None:
+        """Append the points of each ``leaves[i]`` within ``r2`` (squared)
+        of center ``c_t[:, owner[i]]``, in steps of at most ``_PAIR_BUDGET``
+        (center, point) pairs (a bigger leaf is a step by itself)."""
+        sizes = self._leaf_size_of[leaves]
+        ends = np.cumsum(sizes)
         begin = 0
         while begin < leaves.size:
             base = int(ends[begin - 1]) if begin else 0
-            stop = int(np.searchsorted(ends, base + _LEAF_PAIRS, "right"))
+            stop = int(np.searchsorted(ends, base + _PAIR_BUDGET, "right"))
             stop = max(stop, begin + 1)
             step_sizes = sizes[begin:stop]
             step_ends = ends[begin:stop] - base
@@ -237,17 +230,15 @@ class KDTree:
                 step_sizes,
             )
             index = self._leaf_order[np.arange(int(step_ends[-1])) - shift]
-            step_owner = np.repeat(leaves_owner[begin:stop], step_sizes)
-            ok = _point_sq_dist(self._points, index, c, step_owner) <= r2
+            step_owner = np.repeat(owner[begin:stop], step_sizes)
+            d2 = sum_of_squares(
+                (self._points_t[k][index] - c_t[k][step_owner] for k in range(self._dim)),
+                index.size,
+            )
+            ok = d2 <= r2
             hit_owner.append(step_owner[ok])
             hit_index.append(index[ok])
             begin = stop
-        all_owner = np.concatenate(hit_owner) if hit_owner else owner[:0]
-        all_index = np.concatenate(hit_index) if hit_index else owner[:0]
-        order = np.lexsort((all_index, all_owner))
-        offsets = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(all_owner, minlength=m), out=offsets[1:])
-        return all_index[order], offsets
 
     def query_nearest(self, center: np.ndarray) -> tuple[int, float]:
         """Index of and distance to the nearest indexed point.
@@ -263,7 +254,7 @@ class KDTree:
         while stack:
             node = stack.pop()
             delta = np.maximum(
-                np.maximum(self._node_lo[node] - c, c - self._node_hi[node]), 0.0
+                np.maximum(self._lo_t[:, node] - c, c - self._hi_t[:, node]), 0.0
             )
             if float(np.dot(delta, delta)) >= best_sq:
                 continue

@@ -3,9 +3,11 @@
 The reference checks every query point against every sub-cell center
 of every candidate cell with ``seq_squared_distances`` — no box
 classification, no batching, no pools.  The sweep must match it
-exactly on candidate rows, neighbor counts and touch masks, for every
-strategy and backend, including query points outside their group's
-cell, groups without points, single-point cells and empty sweeps.
+exactly on candidate rows, neighbor counts, per-point touch masks (the
+one-cell case) and touched slots folded at a count threshold, for
+every strategy and backend, including query points outside their
+group's cell, groups without points, single-point cells and empty
+sweeps.
 """
 
 import numpy as np
@@ -92,7 +94,8 @@ def sweep_cases(draw):
     )
     picks = draw(st.lists(st.integers(0, n - 1), min_size=n_groups, max_size=n_groups))
     budget = draw(st.sampled_from([1, 5, region_query.PAIR_BUDGET]))
-    return dim, points, eps, rho, strategy, kinds, foreign, picks, budget
+    min_count = draw(st.sampled_from([0.0, 1.0, 2.0, 5.0]))
+    return dim, points, eps, rho, strategy, kinds, foreign, picks, budget, min_count
 
 
 def _groups(points, geometry, kinds, foreign, picks):
@@ -116,25 +119,33 @@ def _groups(points, geometry, kinds, foreign, picks):
     return cell_ids, query, offsets.astype(np.int64), blocks
 
 
+def _with_budget(budget, call):
+    saved = region_query.PAIR_BUDGET
+    region_query.PAIR_BUDGET = budget  # force multi-step sweeps too
+    try:
+        return call()
+    finally:
+        region_query.PAIR_BUDGET = saved
+
+
 class TestSweepMatchesBruteForce:
     @SETTINGS
     @given(case=sweep_cases())
     @pytest.mark.parametrize("kernel", ["numpy", "python"])
     def test_counts_touch_and_candidates(self, case, kernel):
-        dim, points, eps, rho, strategy, kinds, foreign, picks, budget = case
+        dim, points, eps, rho, strategy, kinds, foreign, picks, budget, min_count = case
         geometry = CellGeometry(eps, dim, rho)
         dictionary = FlatCellDictionary.from_points(points, geometry)
         engine = RegionQueryEngine(dictionary, strategy=strategy, kernel=kernel)
         cell_ids, query, offsets, blocks = _groups(
             points, geometry, kinds, foreign, picks
         )
-        saved = region_query.PAIR_BUDGET
-        region_query.PAIR_BUDGET = budget  # force multi-step sweeps too
-        try:
-            result = engine.query_partition(cell_ids, query, offsets)
-        finally:
-            region_query.PAIR_BUDGET = saved
+        result = _with_budget(
+            budget,
+            lambda: engine.query_partition(cell_ids, query, offsets, min_count),
+        )
         assert result.counts.shape == (query.shape[0],)
+        assert result.touched.shape == result.cand_rows.shape
         for g, block in enumerate(blocks):
             rows, counts, touch = brute_force_group(
                 dictionary, cell_ids[g], block, geometry
@@ -144,22 +155,29 @@ class TestSweepMatchesBruteForce:
             np.testing.assert_array_equal(
                 result.counts[offsets[g] : offsets[g + 1]], counts
             )
-            np.testing.assert_array_equal(result.group_touch(g), touch)
+            # A slot is touched by the group's points that reach min_count.
+            np.testing.assert_array_equal(
+                result.touched[lo:hi], touch[counts >= min_count].any(axis=0)
+            )
 
     @SETTINGS
     @given(case=sweep_cases())
-    def test_one_cell_case_matches_sweep(self, case):
-        dim, points, eps, rho, strategy, kinds, foreign, picks, _ = case
+    @pytest.mark.parametrize("kernel", ["numpy", "python"])
+    def test_one_cell_case_matches_sweep(self, case, kernel):
+        dim, points, eps, rho, strategy, kinds, foreign, picks, budget, _ = case
         geometry = CellGeometry(eps, dim, rho)
-        engine = RegionQueryEngine(
-            FlatCellDictionary.from_points(points, geometry), strategy=strategy
-        )
+        dictionary = FlatCellDictionary.from_points(points, geometry)
+        engine = RegionQueryEngine(dictionary, strategy=strategy, kernel=kernel)
         cell_ids, query, offsets, blocks = _groups(
             points, geometry, kinds, foreign, picks
         )
-        result = engine.query_partition(cell_ids, query, offsets)
+        result = engine.query_partition(cell_ids, query, offsets, 0.0)
         for g, block in enumerate(blocks):
-            single = engine.query_cell_batch(tuple(cell_ids[g]), block)
+            single = _with_budget(
+                budget, lambda: engine.query_cell_batch(tuple(cell_ids[g]), block)
+            )
+            _, _, touch = brute_force_group(dictionary, cell_ids[g], block, geometry)
+            np.testing.assert_array_equal(single.touch, touch)
             np.testing.assert_array_equal(
                 single.candidate_rows,
                 result.cand_rows[result.cand_offsets[g] : result.cand_offsets[g + 1]],
@@ -167,7 +185,6 @@ class TestSweepMatchesBruteForce:
             np.testing.assert_array_equal(
                 single.counts, result.counts[offsets[g] : offsets[g + 1]]
             )
-            np.testing.assert_array_equal(single.touch, result.group_touch(g))
 
 
 class TestSweepEdges:
@@ -183,10 +200,10 @@ class TestSweepEdges:
             np.empty((0, 2), dtype=np.int64),
             np.empty((0, 2)),
             np.zeros(1, dtype=np.int64),
+            1.0,
         )
-        assert result.counts.size == 0 and result.touch.size == 0
+        assert result.counts.size == 0 and result.touched.size == 0
         assert result.cand_rows.size == 0
-        assert result.touched_slots(np.zeros(0, dtype=bool)).size == 0
 
     def test_rejects_bounds_not_covering_points(self):
         engine = self._engine()
@@ -195,6 +212,7 @@ class TestSweepEdges:
                 np.zeros((1, 2), dtype=np.int64),
                 np.zeros((3, 2)),
                 np.array([0, 2], dtype=np.int64),
+                1.0,
             )
 
     def test_empty_partition_builds_empty_subgraph(self):

@@ -6,6 +6,7 @@ non-empty cells whose box is within eps of the query cell's box.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,25 @@ class TestBatchMatchesScalar:
                 rows[offsets[g] : offsets[g + 1]],
                 finder.candidate_rows(tuple(int(v) for v in query)),
             )
+
+    def test_sparse_high_dimensional_batch_memory_is_bounded(self):
+        # Sparse 13-d cells: every query hits only its own cell, so hit
+        # counts say nothing about the tree walk, which starts from a
+        # 256-node frontier per query.  The walk's pair blocks must stay
+        # bounded: an unbounded walk over this batch peaks above 100 MB.
+        rng = np.random.default_rng(7)
+        cells = np.unique(rng.integers(-(10**6), 10**6, (8000, 13)), axis=0)
+        finder = NeighborCellFinder(cells, 1.0, math.sqrt(13))
+        assert finder.strategy == "kdtree"
+        tracemalloc.start()
+        try:
+            rows, offsets = finder.candidate_rows_batch(cells)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(rows, np.arange(cells.shape[0]))
+        np.testing.assert_array_equal(offsets, np.arange(cells.shape[0] + 1))
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("strategy", ["enumerate", "kdtree"])
     def test_empty_batch(self, random_cells_2d, strategy):

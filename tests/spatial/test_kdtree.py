@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.spatial import kdtree
 from repro.spatial.kdtree import KDTree
 
 
@@ -67,6 +68,21 @@ class TestQueryBallBatch:
             got = hits[offsets[g] : offsets[g + 1]]
             assert np.all(np.diff(got) > 0)  # ascending, no duplicates
             np.testing.assert_array_equal(got, np.sort(tree.query_ball(center, radius)))
+
+    @pytest.mark.parametrize("budget", [1, 3, 50])
+    def test_small_pair_budget_matches_bruteforce(self, monkeypatch, budget):
+        # A tiny budget splits the centers into many chunks, the walk
+        # into many pending blocks and the leaf scans into many steps.
+        monkeypatch.setattr(kdtree, "_PAIR_BUDGET", budget)
+        rng = np.random.default_rng(budget)
+        pts = rng.normal(size=(400, 3))
+        tree = KDTree(pts, leaf_size=4)
+        centers = rng.normal(size=(30, 3))
+        hits, offsets = tree.query_ball_batch(centers, 0.7)
+        for g, center in enumerate(centers):
+            assert set(hits[offsets[g] : offsets[g + 1]].tolist()) == brute_ball(
+                pts, center, 0.7
+            )
 
     def test_empty_tree_and_no_centers(self):
         hits, offsets = KDTree(np.empty((0, 2))).query_ball_batch(np.zeros((3, 2)), 1.0)
