@@ -14,7 +14,7 @@ from common import BENCH_MIN_PTS, bench_dataset, publish, run_once
 from repro import RPDBSCAN
 from repro.bench.reporting import format_table
 from repro.core.cells import CellGeometry
-from repro.core.dictionary import CellDictionary
+from repro.core.dictionary import FlatCellDictionary
 from repro.core.region_query import RegionQueryEngine
 from repro.data.datasets import DATASETS
 
@@ -31,11 +31,11 @@ def run_experiment():
 
     # Auto-selection record.
     geo2 = CellGeometry(eps, 2, 0.01)
-    auto_2d = RegionQueryEngine(CellDictionary.from_points(points, geo2)).strategy
+    auto_2d = RegionQueryEngine(FlatCellDictionary.from_points(points, geo2)).strategy
     points13 = bench_dataset("TeraClickLog")
     geo13 = CellGeometry(DATASETS["TeraClickLog"].eps10, 13, 0.01)
     auto_13d = RegionQueryEngine(
-        CellDictionary.from_points(points13, geo13)
+        FlatCellDictionary.from_points(points13, geo13)
     ).strategy
     return out, auto_2d, auto_13d
 

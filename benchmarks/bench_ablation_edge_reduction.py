@@ -12,7 +12,7 @@ from common import BENCH_MIN_PTS, bench_dataset, publish, run_once
 from repro.bench.reporting import format_table
 from repro.core.cells import CellGeometry
 from repro.core.construction import QueryContext, build_cell_subgraph
-from repro.core.dictionary import CellDictionary
+from repro.core.dictionary import FlatCellDictionary
 from repro.core.labeling import build_labeling_context, label_partition
 from repro.core.merging import progressive_merge
 from repro.core.partitioning import pseudo_random_partition
@@ -24,15 +24,14 @@ K = 16
 def cluster_with(points, eps, min_pts, reduce_edges):
     geometry = CellGeometry(eps, points.shape[1], 0.01)
     partitions = pseudo_random_partition(points, geometry, K, seed=0)
-    dictionary = CellDictionary.from_points(points, geometry)
+    dictionary = FlatCellDictionary.from_points(points, geometry)
     context = QueryContext(dictionary)
     results = [build_cell_subgraph(p, context, min_pts) for p in partitions]
     graph, stats = progressive_merge(
         [r.graph for r in results], reduce_edges=reduce_edges
     )
     labeling = build_labeling_context(
-        graph, partitions, {r.pid: r.core_mask for r in results}, eps,
-        dictionary.index_map,
+        graph, partitions, {r.pid: r.core_mask for r in results}, eps, dictionary
     )
     labels = np.full(points.shape[0], -1, dtype=np.int64)
     for partition in partitions:

@@ -18,7 +18,7 @@ from common import publish, run_once
 from repro import RPDBSCAN
 from repro.bench.reporting import format_table
 from repro.core.cells import CellGeometry
-from repro.core.dictionary import CellDictionary
+from repro.core.dictionary import FlatCellDictionary
 from repro.data.generators import gaussian_mixture
 
 ALPHAS = [1 / 8, 1 / 4, 1 / 2, 1.0]
@@ -41,7 +41,7 @@ def run_experiment():
             imbalance[(dim, alpha)] = result.load_imbalance
             elapsed[(dim, alpha)] = result.total_seconds
             geometry = CellGeometry(EPS, dim, rho=0.01)
-            dictionary = CellDictionary.from_points(points, geometry)
+            dictionary = FlatCellDictionary.from_points(points, geometry)
             dict_bytes[(dim, alpha)] = dictionary.size_model().total_bytes
     return imbalance, elapsed, dict_bytes
 

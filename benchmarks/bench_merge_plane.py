@@ -1,13 +1,14 @@
-"""The Phase III-1 merge plane, measured: flat layout and engine rounds.
+"""The Phase III-1 merge plane, measured: flat graphs and engine rounds.
 
 Two claims from the merge-plane rework, gated with the headroom the
 other plane benches use (regressions, not timer jitter):
 
-* **columnar matches** — a driver-mode tournament over
+* **columnar matches** — a driver-mode tournament over the pipeline's
   ``FlatCellGraph`` subgraphs (vectorized absorb/detect, array
   union-find) must beat the same tournament over the dict-of-tuples
-  reference by at least :data:`FLAT_SPEEDUP_MIN` on wall time, while
-  producing bit-identical per-round accounting;
+  reference ``CellGraph`` (the same subgraphs converted with
+  ``to_cell_graph``) by at least :data:`FLAT_SPEEDUP_MIN` on wall time,
+  while producing bit-identical per-round accounting;
 * **engine scheduling** — dispatching each round's matches through
   ``Engine.map_tasks`` (4 process workers, warm pool) must not lose to
   the driver-mode tournament.  The direct ``engine <= driver`` wall
@@ -32,7 +33,7 @@ from common import bench_dataset, publish, run_once
 from repro.bench.reporting import format_duration, format_table
 from repro.core.cells import CellGeometry
 from repro.core.construction import QueryContext, build_cell_subgraph
-from repro.core.dictionary import CellDictionary
+from repro.core.dictionary import FlatCellDictionary
 from repro.core.merging import progressive_merge
 from repro.core.partitioning import pseudo_random_partition
 from repro.data.datasets import DATASETS
@@ -44,8 +45,8 @@ K = 16  # >= 8 partitions per the acceptance gate; 8 matches in round 1
 WORKERS = 4
 REPEATS = 3
 
-#: Driver-mode tournament: flat must beat dict by at least this factor
-#: (measured ~3.7x on the reference container).
+#: Driver-mode tournament: flat must beat the CellGraph reference by at
+#: least this factor (measured ~3.7x on the reference container).
 FLAT_SPEEDUP_MIN = 3.0
 #: Cores needed before the direct engine <= driver wall gate is fair.
 PARALLEL_GATE_CORES = 4
@@ -64,22 +65,19 @@ def _best_of(fn, repeats=REPEATS):
     return best, out
 
 
-def _subgraphs(layout):
+def _subgraphs():
     points = bench_dataset("GeoLife", N_POINTS)
     eps = DATASETS["GeoLife"].eps10 / 4
     geometry = CellGeometry(eps, points.shape[1], 0.01)
     partitions = pseudo_random_partition(points, geometry, K, seed=0)
-    dictionary = CellDictionary.from_points(points, geometry)
+    dictionary = FlatCellDictionary.from_points(points, geometry)
     context = QueryContext(dictionary)
-    return [
-        build_cell_subgraph(p, context, MIN_PTS, graph_layout=layout).graph
-        for p in partitions
-    ]
+    return [build_cell_subgraph(p, context, MIN_PTS).graph for p in partitions]
 
 
 def run_experiment():
-    flat = _subgraphs("flat")
-    dicts = _subgraphs("dict")
+    flat = _subgraphs()
+    dicts = [g.to_cell_graph() for g in flat]
 
     flat_wall, (_, flat_stats) = _best_of(lambda: progressive_merge(flat))
     dict_wall, (_, dict_stats) = _best_of(lambda: progressive_merge(dicts))
@@ -127,7 +125,7 @@ def test_merge_plane(benchmark):
             ["tournament", "wall", "span", "span kind", "edges in",
              "edges out", "shipped"],
             [
-                row("driver / dict", out["dict_wall"], dict_stats),
+                row("driver / CellGraph", out["dict_wall"], dict_stats),
                 row("driver / flat", out["flat_wall"], flat_stats),
                 row(f"engine / flat ({WORKERS}w)", out["engine_wall"],
                     engine_stats),
@@ -139,16 +137,16 @@ def test_merge_plane(benchmark):
         ),
     )
 
-    # Bit-identical accounting across layouts and modes.
+    # Bit-identical accounting across graph types and modes.
     for stats in (dict_stats, engine_stats):
         assert stats.edges_per_round == flat_stats.edges_per_round
         assert stats.resolved_per_round == flat_stats.resolved_per_round
         assert stats.removed_per_round == flat_stats.removed_per_round
 
-    # Gate 1: the columnar layout wins the driver tournament outright.
+    # Gate 1: the columnar graph wins the driver tournament outright.
     assert out["flat_wall"] * FLAT_SPEEDUP_MIN <= out["dict_wall"], (
         f"flat tournament {out['flat_wall']:.3f}s not "
-        f"{FLAT_SPEEDUP_MIN}x faster than dict {out['dict_wall']:.3f}s"
+        f"{FLAT_SPEEDUP_MIN}x faster than CellGraph {out['dict_wall']:.3f}s"
     )
 
     # Gate 2: engine scheduling does not lose to the driver loop.

@@ -14,7 +14,7 @@ import pytest
 
 from repro import RPDBSCAN
 from repro.core.cells import CellGeometry
-from repro.core.dictionary import CellDictionary
+from repro.core.dictionary import FlatCellDictionary
 from repro.core.partitioning import pseudo_random_partition
 from repro.core.region_query import RegionQueryEngine
 from repro.graph.union_find import UnionFind
@@ -37,7 +37,7 @@ def geometry():
 
 @pytest.fixture(scope="module")
 def dictionary(points, geometry):
-    return CellDictionary.from_points(points, geometry)
+    return FlatCellDictionary.from_points(points, geometry)
 
 
 def test_micro_cell_grouping(benchmark, points, geometry):
@@ -45,7 +45,7 @@ def test_micro_cell_grouping(benchmark, points, geometry):
 
 
 def test_micro_dictionary_build(benchmark, points, geometry):
-    benchmark(CellDictionary.from_points, points, geometry)
+    benchmark(FlatCellDictionary.from_points, points, geometry)
 
 
 def test_micro_partitioning(benchmark, points, geometry):

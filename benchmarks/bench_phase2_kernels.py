@@ -5,7 +5,7 @@ reference bench — GeoLife stand-in at :data:`N_POINTS` (>= 50k) points —
 the numba backend's Phase II wall (the ``II cell graph`` counter bucket)
 must be at least :data:`NUMBA_SPEEDUP_MIN` times faster than the numpy
 backend's, while labels, core flags, and per-cell density counts stay
-bit-identical across ``kernel x dictionary_layout``, and JIT warm-up
+bit-identical across kernels, and JIT warm-up
 never leaks into a phase timing (it lands in the ``engine.setup``
 bucket, visible in the run report).
 
@@ -40,13 +40,8 @@ K = 8
 #: on the reference bench (the acceptance criterion's "2x").
 NUMBA_SPEEDUP_MIN = 2.0
 
-#: The layouts the identity half of the gate sweeps.  ("flat" rides the
-#: fused CSR kernel, "dict" the gathered one — both must win nothing
-#: and lose nothing correctness-wise.)
-LAYOUTS = ("flat", "dict")
 
-
-def _fit(kernel: str, layout: str = "flat"):
+def _fit(kernel: str):
     points = bench_dataset("GeoLife", N_POINTS)
     eps = DATASETS["GeoLife"].eps10 / 4
     model = RPDBSCAN(
@@ -55,7 +50,6 @@ def _fit(kernel: str, layout: str = "flat"):
         num_partitions=K,
         seed=0,
         kernel=kernel,
-        dictionary_layout=layout,
     )
     return model.fit(points)
 
@@ -80,11 +74,7 @@ def _per_cell_density_counts(kernel: str) -> np.ndarray:
 
 
 def run_experiment():
-    results = {
-        (kernel, layout): _fit(kernel, layout)
-        for kernel in ("numpy", "numba")
-        for layout in LAYOUTS
-    }
+    results = {kernel: _fit(kernel) for kernel in ("numpy", "numba")}
     density = {
         kernel: _per_cell_density_counts(kernel) for kernel in ("numpy", "numba")
     }
@@ -94,17 +84,17 @@ def run_experiment():
 def test_phase2_kernels(benchmark):
     out = run_once(benchmark, run_experiment)
     results = out["results"]
-    reference = results[("numpy", "flat")]
+    reference = results["numpy"]
 
-    # ---- identity half of the gate: kernel x dictionary_layout -------
-    for (kernel, layout), result in results.items():
+    # ---- identity half of the gate: every kernel ---------------------
+    for kernel, result in results.items():
         np.testing.assert_array_equal(
             result.labels, reference.labels,
-            err_msg=f"labels diverged for kernel={kernel} layout={layout}",
+            err_msg=f"labels diverged for kernel={kernel}",
         )
         np.testing.assert_array_equal(
             result.core_mask, reference.core_mask,
-            err_msg=f"core flags diverged for kernel={kernel} layout={layout}",
+            err_msg=f"core flags diverged for kernel={kernel}",
         )
         assert result.n_clusters == reference.n_clusters
     np.testing.assert_array_equal(
@@ -114,7 +104,7 @@ def test_phase2_kernels(benchmark):
 
     # ---- timing half: compiled Phase II wins by the required factor --
     numpy_phase2 = reference.counters.phase_seconds[PHASE_CELL_GRAPH]
-    numba_result = results[("numba", "flat")]
+    numba_result = results["numba"]
     numba_phase2 = numba_result.counters.phase_seconds[PHASE_CELL_GRAPH]
     speedup = numpy_phase2 / numba_phase2
 
@@ -128,18 +118,18 @@ def test_phase2_kernels(benchmark):
 
     rows = [
         [
-            f"{kernel} / {layout}",
+            kernel,
             format_duration(result.counters.phase_seconds[PHASE_CELL_GRAPH]),
             format_duration(result.counters.setup_seconds.get("warmup", 0.0)),
             format_duration(result.total_seconds),
             result.n_clusters,
         ]
-        for (kernel, layout), result in sorted(results.items())
+        for kernel, result in sorted(results.items())
     ]
     publish(
         "phase2_kernels",
         format_table(
-            ["kernel / layout", "phase II", "warmup (setup)", "total", "clusters"],
+            ["kernel", "phase II", "warmup (setup)", "total", "clusters"],
             rows,
             title=(
                 f"Phase II kernels: GeoLife {N_POINTS} pts, k={K}, "

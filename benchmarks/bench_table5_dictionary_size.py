@@ -11,7 +11,7 @@ from common import BENCH_MIN_PTS, bench_dataset, eps_grid, publish, run_once
 
 from repro.bench.reporting import format_table
 from repro.core.cells import CellGeometry
-from repro.core.dictionary import CellDictionary
+from repro.core.dictionary import FlatCellDictionary
 from repro.data.datasets import DATASETS
 
 
@@ -22,7 +22,7 @@ def run_experiment():
         row = []
         for eps in eps_grid(name):
             geometry = CellGeometry(eps, points.shape[1], rho=0.01)
-            dictionary = CellDictionary.from_points(points, geometry)
+            dictionary = FlatCellDictionary.from_points(points, geometry)
             row.append(dictionary.size_model().ratio_to_data(points.shape[0]))
         ratios[name] = row
 
@@ -31,7 +31,7 @@ def run_experiment():
     for n in (2000, 8000, 32_000):
         points = DATASETS["OpenStreetMap"].generator(n, seed=0)
         geometry = CellGeometry(DATASETS["OpenStreetMap"].eps10, 2, rho=0.01)
-        dictionary = CellDictionary.from_points(points, geometry)
+        dictionary = FlatCellDictionary.from_points(points, geometry)
         scale_ratios.append(dictionary.size_model().ratio_to_data(n))
     return ratios, scale_ratios
 

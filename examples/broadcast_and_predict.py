@@ -34,14 +34,17 @@ import numpy as np
 
 from repro import (
     RPDBSCAN,
-    CellDictionary,
     CellGeometry,
     ClusterModel,
     RegionQueryEngine,
     load_cluster_state,
     save_cluster_state,
 )
-from repro.core import deserialize_dictionary, serialize_dictionary
+from repro.core import (
+    FlatCellDictionary,
+    deserialize_flat_dictionary,
+    serialize_dictionary,
+)
 from repro.data import openstreetmap_like
 from repro.serve import ServeClient, ServeConfig, running_server
 
@@ -52,7 +55,7 @@ def main() -> None:
 
     # --- 1. The broadcast payload -----------------------------------
     geometry = CellGeometry(eps, points.shape[1], rho=0.01)
-    dictionary = CellDictionary.from_points(points, geometry)
+    dictionary = FlatCellDictionary.from_points(points, geometry)
     payload = serialize_dictionary(dictionary)
     model = dictionary.size_model()
     raw_bytes = 4 * points.size  # the paper stores float32 features
@@ -62,7 +65,7 @@ def main() -> None:
           f"({len(payload) / raw_bytes:.2%} of the data)")
     print(f"Lemma 4.3 estimate:  {model.total_bytes / 1024:.1f} KiB")
 
-    worker_dict = deserialize_dictionary(payload)
+    worker_dict = deserialize_flat_dictionary(payload)
     engine = RegionQueryEngine(worker_dict)
     count, _ = engine.query_point(points[0])
     print(f"worker-side (eps,rho)-region query from bytes alone: "

@@ -16,7 +16,8 @@ a single point so the ratio is large; it falls toward the paper's
 (sub-)cells are ever stored).
 """
 
-from repro import RPDBSCAN, CellDictionary, CellGeometry, RegionQueryEngine
+from repro import RPDBSCAN, CellGeometry, RegionQueryEngine
+from repro.core import FlatCellDictionary
 from repro.data import teraclicklog_like
 
 
@@ -25,7 +26,7 @@ def main() -> None:
     eps, min_pts = 4.0, 40
 
     geometry = CellGeometry(eps, points.shape[1], rho=0.01)
-    dictionary = CellDictionary.from_points(points, geometry)
+    dictionary = FlatCellDictionary.from_points(points, geometry)
     engine = RegionQueryEngine(dictionary)
     print(f"dimension:           {points.shape[1]}")
     print(f"candidate strategy:  {engine.strategy} (auto-selected)")

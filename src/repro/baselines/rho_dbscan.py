@@ -22,7 +22,7 @@ import numpy as np
 from repro.baselines.base import BaselineResult
 from repro.core.cells import CellGeometry
 from repro.core.construction import QueryContext, build_cell_subgraph
-from repro.core.dictionary import CellDictionary
+from repro.core.dictionary import FlatCellDictionary
 from repro.core.labeling import build_labeling_context, label_partition
 from repro.core.merging import progressive_merge
 from repro.core.partitioning import pseudo_random_partition
@@ -68,13 +68,12 @@ class RhoDBSCAN:
             )
         geometry = CellGeometry(self.eps, dim, self.rho)
         [partition] = pseudo_random_partition(pts, geometry, 1, seed=0)
-        dictionary = CellDictionary.from_points(pts, geometry)
+        dictionary = FlatCellDictionary.from_points(pts, geometry)
         context = QueryContext(dictionary)
         subgraph = build_cell_subgraph(partition, context, self.min_pts)
         graph, _ = progressive_merge([subgraph.graph])
         labeling_context = build_labeling_context(
-            graph, [partition], {0: subgraph.core_mask}, self.eps,
-            dictionary.index_map,
+            graph, [partition], {0: subgraph.core_mask}, self.eps, dictionary
         )
         global_indices, local_labels = label_partition(partition, labeling_context)
         labels = np.full(n, -1, dtype=np.int64)

@@ -162,7 +162,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 seed=args.seed,
                 engine=engine,
                 merge_mode=args.merge,
-                graph_layout=args.graph_layout,
                 broadcast_budget=args.broadcast_budget,
                 kernel=args.kernel,
             )
@@ -400,8 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     engine_group = cluster.add_argument_group("execution engine")
     engine_group.add_argument(
         "--engine",
-        "--executor",
-        dest="engine",
         choices=("serial", "process", "remote"),
         default="serial",
         help="task executor (default: serial); remote dispatches to node "
@@ -454,13 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="Phase III-1 tournament scheduling: every match on the driver, "
         "rounds dispatched through the engine, or a cost model picking per "
         "run (default; labels are bit-identical either way)",
-    )
-    engine_group.add_argument(
-        "--graph-layout",
-        choices=("flat", "dict"),
-        default="flat",
-        help="cell-graph layout: columnar flat arrays (default) or the "
-        "dict-of-tuples reference implementation",
     )
     engine_group.add_argument(
         "--kernel",

@@ -5,8 +5,10 @@ Public surface:
 * :class:`~repro.core.rp_dbscan.RPDBSCAN` — the parallel clustering
   algorithm (Algorithm 1).
 * :class:`~repro.core.cells.CellGeometry` — cell / sub-cell geometry.
-* :class:`~repro.core.dictionary.CellDictionary` — the two-level cell
-  dictionary broadcast to workers.
+* :class:`~repro.core.dictionary.FlatCellDictionary` — the columnar
+  two-level cell dictionary broadcast to workers
+  (:class:`~repro.core.dictionary.CellDictionary` is its reference
+  implementation, kept for tests).
 * :class:`~repro.core.region_query.RegionQueryEngine` — (eps, rho)-region
   queries, usable standalone for approximate density estimation.
 
@@ -21,10 +23,8 @@ from repro.core.cells import CellGeometry, h_for_rho
 from repro.core.cluster_state import ClusterState, IngestReport
 from repro.core.construction import QueryContext, SubgraphResult, build_cell_subgraph
 from repro.core.defragmentation import (
-    DefragmentedDictionary,
     FlatDefragmentedDictionary,
     FlatSubDictionary,
-    SubDictionary,
     defragment,
 )
 from repro.core.dictionary import (
@@ -95,9 +95,7 @@ __all__ = [
     "QueryContext",
     "SubgraphResult",
     "build_cell_subgraph",
-    "DefragmentedDictionary",
     "FlatDefragmentedDictionary",
-    "SubDictionary",
     "FlatSubDictionary",
     "defragment",
     "LabelingContext",

@@ -13,6 +13,15 @@ status is unknown locally) — and three edge classes:
 
 The *global* cell graph (Def 6.1) is a cell graph with no undetermined
 vertices or edges.
+
+:class:`FlatCellGraph` is the cell graph every phase builds, merges,
+ships, and persists: vertices are the dense rows of the flat
+dictionary, vertex classes one ``int8`` status array, edges a parallel
+``(src, dst, type)`` column triple.  :class:`CellGraph` keeps the same
+semantics over python sets and dicts.  No pipeline path builds or
+accepts it: it is the reference implementation the columnar graph is
+tested against, reachable through :meth:`FlatCellGraph.to_cell_graph`
+and :meth:`FlatCellGraph.from_cell_graph`.
 """
 
 from __future__ import annotations
@@ -57,10 +66,11 @@ class EdgeType(IntEnum):
 
 @dataclass
 class CellGraph:
-    """Mutable cell (sub)graph for one partition or a merger of several.
+    """Reference cell (sub)graph over python sets and dicts.
 
-    Edges are keyed by the ordered pair ``(src, dst)``; ``src`` is always
-    a core cell because only core cells initiate reachability.
+    The oracle :class:`FlatCellGraph` is tested against.  Edges are
+    keyed by the ordered pair ``(src, dst)``; ``src`` is always a core
+    cell because only core cells initiate reachability.
     """
 
     core: set[CellId] = field(default_factory=set)
@@ -383,24 +393,22 @@ class CellGraph:
 class FlatCellGraph:
     """Columnar cell graph over the dense flat-row vertex universe.
 
-    The struct-of-arrays counterpart of :class:`CellGraph` for the merge
-    plane: vertices are the dense cell indices of a
-    ``FlatCellDictionary`` (flat row == dense dict index, the PR 4
-    invariant), vertex classes live in one ``int8`` status array keyed by
-    those indices, and edges are a parallel ``(src:int32, dst:int32,
-    type:int8)`` edge list.  Merging is an elementwise status maximum
+    Vertices are the dense cell rows of a ``FlatCellDictionary``, vertex
+    classes live in one ``int8`` status array keyed by those rows, and
+    edges are a parallel ``(src:int32, dst:int32, type:int8)`` edge
+    list.  Merging is an elementwise status maximum
     plus an array concatenation; edge-type detection is a vectorized
     gather of destination statuses; the Sec 6.1.4 spanning-forest
     reduction runs over an :class:`~repro.graph.union_find.ArrayUnionFind`.
 
-    ``CellGraph`` remains the reference implementation: for equal inputs
-    both layouts produce identical vertex classes, edge multisets,
-    resolved/removed counts, and (via canonical component numbering)
-    identical final labels.  The one intentional difference: flat
-    ``absorb_resolving`` always equals ``absorb`` + ``detect_edge_types``
-    (it re-resolves *all* undetermined edges against the merged
-    statuses), which coincides with the dict behaviour on pipeline
-    subgraphs where a match can never leave a stale resolvable edge.
+    :class:`CellGraph` is the reference: for equal inputs both produce
+    identical vertex classes, edge multisets, resolved/removed counts,
+    and (via canonical component numbering) identical final labels.  The
+    one intentional difference: flat ``absorb_resolving`` always equals
+    ``absorb`` + ``detect_edge_types`` (it re-resolves *all* undetermined
+    edges against the merged statuses), which coincides with the
+    reference on pipeline subgraphs, where a match can never leave a
+    stale resolvable edge.
     """
 
     __slots__ = ("status", "src", "dst", "etype", "_pending", "_forest")
@@ -436,7 +444,7 @@ class FlatCellGraph:
 
     @property
     def core(self) -> set[int]:
-        """Core vertex indices (materialized as a set for duck parity)."""
+        """Core vertex indices, as a set."""
         return set(np.nonzero(self.status == V_CORE)[0].tolist())
 
     @property
@@ -496,9 +504,10 @@ class FlatCellGraph:
     def add_edge(self, src: int, dst: int, edge_type: EdgeType) -> None:
         """Add (or upgrade) a directed edge ``src -> dst``.
 
-        Same contract as :meth:`CellGraph.add_edge`.  O(E) per call —
-        meant for tests and small graphs; the pipeline builds edge
-        arrays in bulk (:meth:`from_arrays`).
+        An existing undetermined edge is upgraded to a determined type;
+        a determined type is never downgraded.  O(E) per call — meant
+        for tests and small graphs; the pipeline builds edge arrays in
+        bulk (:meth:`from_arrays`).
         """
         hit = np.nonzero((self.src == src) & (self.dst == dst))[0]
         if hit.size:
@@ -593,8 +602,9 @@ class FlatCellGraph:
         if self._has_overlap(other):
             # Rare path (hand-built graphs only): duplicate edge keys
             # would destabilize pending indices under dedup, so route
-            # through the dict reference for its exact determined-wins
-            # semantics.  Pipeline subgraphs have disjoint edge keys.
+            # through the reference CellGraph for its exact
+            # determined-wins semantics.  Pipeline subgraphs have
+            # disjoint edge keys.
             ref = self.to_cell_graph()
             ref.absorb(other.to_cell_graph())
             self._load_from(FlatCellGraph.from_cell_graph(ref, self.n_slots))
@@ -610,13 +620,6 @@ class FlatCellGraph:
         """
         self.absorb(other)
         return self.detect_edge_types()
-
-    @classmethod
-    def merge(
-        cls, a: "FlatCellGraph", b: "FlatCellGraph"
-    ) -> "FlatCellGraph":
-        """Single merger ``a | b`` (Definition 6.2)."""
-        return a.copy().absorb(b)
 
     def detect_edge_types(self) -> int:
         """Resolve undetermined edges against the current vertex classes
@@ -707,15 +710,15 @@ class FlatCellGraph:
         )
 
     # ------------------------------------------------------------------
-    # Layout conversion
+    # Conversion to and from the reference CellGraph
     # ------------------------------------------------------------------
 
     @classmethod
     def from_cell_graph(
         cls, graph: CellGraph, n_slots: int
     ) -> "FlatCellGraph":
-        """Convert a dict :class:`CellGraph` whose cell ids are dense
-        integer indices into ``0 .. n_slots - 1``."""
+        """Convert a reference :class:`CellGraph` whose cell ids are
+        dense integer rows in ``0 .. n_slots - 1``."""
         flat = cls(n_slots)
         status = flat.status
         for cell in graph.undetermined:
@@ -752,7 +755,7 @@ class FlatCellGraph:
         return flat
 
     def to_cell_graph(self) -> CellGraph:
-        """Convert to the dict reference layout (int cell ids).
+        """Convert to the reference :class:`CellGraph` (int cell ids).
 
         The union-find trees are rebuilt from connectivity, so the
         round-trip preserves behaviour (which edges future reductions

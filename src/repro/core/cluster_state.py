@@ -56,11 +56,7 @@ from repro.core.cell_graph import EdgeType, FlatCellGraph, V_CORE
 from repro.core.cells import CellGeometry
 from repro.core.construction import QueryContext
 from repro.core.dictionary import FlatCellDictionary
-from repro.core.labeling import (
-    NOISE,
-    build_labeling_context,
-    core_cell_labels,
-)
+from repro.core.labeling import NOISE, build_labeling_context
 from repro.core.merging import progressive_merge
 from repro.core.partitioning import Partition
 from repro.spatial.cell_index import NeighborCellFinder
@@ -99,7 +95,7 @@ class IngestReport:
     #: Clean-source edges retained verbatim from the previous graph.
     edges_retained: int
     #: Wall seconds of the driver-side splice (status merge, edge
-    #: re-typing, reduction, canonical renumbering).
+    #: re-typing, reduction).
     splice_seconds: float
     #: Wall seconds of the whole ingest call.
     total_seconds: float
@@ -380,7 +376,7 @@ class ClusterState:
         subgraph_results = engine.map_tasks(
             phase2,
             [(p, None) for p in dirty_partitions],
-            broadcast=(context, self.min_pts, "flat"),
+            broadcast=(context, self.min_pts),
             phase=PHASE_INGEST_GRAPH,
             item_counter=lambda t: t[0].num_points,
             warmup=warmup,
@@ -425,12 +421,6 @@ class ClusterState:
         ).astype(np.int8)
         spliced = FlatCellGraph.from_arrays(status, src, dst, etype)
         spliced.reduce_all_full_edges()
-        labels_by_cell = core_cell_labels(spliced)
-        cell_labels = np.full(C_new, -1, dtype=np.int64)
-        if labels_by_cell:
-            cell_labels[np.fromiter(labels_by_cell.keys(), dtype=np.int64)] = (
-                np.fromiter(labels_by_cell.values(), dtype=np.int64)
-            )
         splice_seconds = time.perf_counter() - splice_start
 
         # ---- Per-point core flags: clean retained, dirty recomputed ---
@@ -456,8 +446,9 @@ class ClusterState:
             union_partitions,
             core_masks,
             geometry.eps,
-            new_dict.index_map,
+            new_dict,
         )
+        cell_labels = labeling_context.cell_label_array(C_new)
         labels = np.full(n, NOISE, dtype=np.int64)
         label_chunks = engine.map_tasks(
             phase3,

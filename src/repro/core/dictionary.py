@@ -5,25 +5,21 @@ Its root level has one entry per non-empty *cell* (exact position +
 density); each root entry points to a leaf holding the cell's non-empty
 *sub-cells* (local position encoded in ``d(h-1)`` bits + density).
 
-This module provides two physical layouts of the same logical structure:
+:class:`FlatCellDictionary` is the data plane every phase runs on: a
+columnar structure of lexicographically sorted ``(C, d)`` cell ids,
+``(C,)`` densities, and a CSR layout (``offsets (C+1,)`` into ``(S, d)``
+sub-coordinates, ``(S,)`` sub-densities, precomputed ``(S, d)``
+sub-centers).  Lookups are binary searches, multi-cell gathers are
+vectorized CSR slices, and the whole structure is six contiguous arrays
+— which is what makes zero-copy shared-memory broadcast
+(:mod:`repro.engine.shm`) and near-free serialization possible.
 
-* :class:`CellSummary` / :class:`CellDictionary` — the dict-of-dataclass
-  layout: a python mapping from cell id tuples to per-cell summaries.
-  Convenient for incremental maintenance (:meth:`CellDictionary.add_points`)
-  and as the reference implementation the columnar layout is tested
-  against.
-* :class:`FlatCellDictionary` — the columnar structure-of-arrays data
-  plane: lexicographically sorted ``(C, d)`` cell ids, ``(C,)``
-  densities, and a CSR layout (``offsets (C+1,)`` into ``(S, d)``
-  sub-coordinates, ``(S,)`` sub-densities, precomputed ``(S, d)``
-  sub-centers).  Lookups are binary searches, multi-cell gathers are
-  vectorized CSR slices, and the whole structure is six contiguous
-  arrays — which is what makes zero-copy shared-memory broadcast
-  (:mod:`repro.engine.shm`) and near-free serialization possible.
-
-Both layouts share the merge step of Algorithm 2 (Phase I-2 ``Reduce``)
-and the Lemma 4.3 size model; :meth:`FlatCellDictionary.merge` performs
-the union directly over arrays.
+:class:`CellSummary` / :class:`CellDictionary` keep the same logical
+structure as a python mapping from cell id tuples to per-cell
+summaries.  No pipeline path builds or accepts it: it is the reference
+implementation the columnar layout is tested against, reachable through
+:meth:`FlatCellDictionary.from_cell_dictionary` and
+:meth:`FlatCellDictionary.to_cell_dictionary`.
 """
 
 from __future__ import annotations
@@ -186,7 +182,10 @@ class DictionarySizeModel:
 
 
 class CellDictionary:
-    """Two-level cell dictionary over a set of points.
+    """Reference two-level cell dictionary over a set of points.
+
+    The oracle :class:`FlatCellDictionary` is tested against; no
+    pipeline path builds or accepts it.
 
     Parameters
     ----------
@@ -199,8 +198,7 @@ class CellDictionary:
     -----
     Construction cost is ``O(n log n)`` (one grouping sort); lookups are
     hash lookups.  Sub-cell centers are materialized lazily per cell and
-    cached because a cell's centers are consulted by region queries from
-    every neighboring cell.
+    cached.
     """
 
     def __init__(self, geometry: CellGeometry, cells: dict[CellId, CellSummary]) -> None:
@@ -291,13 +289,8 @@ class CellDictionary:
 
     @property
     def index_map(self) -> dict[CellId, int]:
-        """Dense index per cell (sorted order), built lazily.
-
-        Cell graphs use these int indices as vertices: every vertex of
-        every subgraph is a dictionary cell, and small-int keys make the
-        tournament's set/dict operations several times cheaper than
-        tuple-of-int keys.
-        """
+        """Dense index per cell (sorted order), built lazily — the same
+        numbering as the rows of :class:`FlatCellDictionary`."""
         if self._index is None:
             self._cells_in_order = sorted(self.cells)
             self._index = {cid: i for i, cid in enumerate(self._cells_in_order)}
@@ -375,68 +368,20 @@ class CellDictionary:
         self._index = None
         self._cells_in_order = None
 
-    def materialize_centers(self) -> None:
-        """Precompute every cell's sub-cell centers into the cache.
-
-        On a real cluster each worker materializes centers while loading
-        the broadcast dictionary (Phase I); doing it eagerly here keeps
-        per-task Phase II timings uniform instead of charging the whole
-        warm-up to whichever task runs first.
-        """
-        for cell_id in self.cells:
-            self.sub_cell_centers(cell_id)
-
     def densities(self, cell_id: CellId) -> np.ndarray:
         """Per-sub-cell densities of ``cell_id`` as float64 (for matmul)."""
         return self.cells[cell_id].sub_counts.astype(np.float64)
 
 
-class _FlatIndexMap:
-    """Mapping-style facade over a flat dictionary's dense cell index.
-
-    ``index_map[cell_id]`` on the dict-backed layout is a hash lookup
-    into a materialized dict; here it is a binary search into the sorted
-    id array — same dense indices (both orders are lexicographic), no
-    per-worker dict to build or ship.
-    """
-
-    __slots__ = ("flat",)
-
-    def __init__(self, flat: "FlatCellDictionary") -> None:
-        self.flat = flat
-
-    def __getitem__(self, cell_id: CellId) -> int:
-        return self.flat.row_of(cell_id)
-
-    def get(self, cell_id: CellId, default: int | None = None) -> int | None:
-        try:
-            return self.flat.row_of(cell_id)
-        except KeyError:
-            return default
-
-    def __contains__(self, cell_id: CellId) -> bool:
-        return self.get(cell_id) is not None
-
-    def __len__(self) -> int:
-        return self.flat.num_cells
-
-
-def index_rows(index_map, cell_ids: np.ndarray) -> np.ndarray:
-    """Dense rows of the ``(m, d)`` cell ids through either layout's
-    :attr:`index_map` in one lookup — one vectorized binary search on
-    the flat layouts instead of one per cell.  Raises ``KeyError`` for
-    a cell the dictionary does not hold."""
+def index_rows(dictionary, cell_ids: np.ndarray) -> np.ndarray:
+    """Dense rows of the ``(m, d)`` cell ids in ``dictionary`` (a flat
+    or partial dictionary) — one vectorized binary search.  Raises
+    ``KeyError`` for a cell the dictionary does not hold."""
     ids = np.asarray(cell_ids, dtype=np.int64)
-    if isinstance(index_map, _FlatIndexMap):
-        rows = index_map.flat.find_rows(ids)
-        if np.any(rows < 0):
-            raise KeyError(tuple(int(v) for v in ids[np.argmax(rows < 0)]))
-        return rows
-    return np.fromiter(
-        (index_map[cell] for cell in map(tuple, ids.tolist())),
-        dtype=np.int64,
-        count=ids.shape[0],
-    )
+    rows = dictionary.find_rows(ids)
+    if np.any(rows < 0):
+        raise KeyError(tuple(int(v) for v in ids[np.argmax(rows < 0)]))
+    return rows
 
 
 class FlatCellDictionary:
@@ -444,9 +389,9 @@ class FlatCellDictionary:
 
     The same logical structure as :class:`CellDictionary`, stored as six
     contiguous arrays.  Cells are kept in lexicographic id order, so a
-    cell's *row* equals its dense index in
-    :attr:`CellDictionary.index_map` — the two layouts agree on every
-    vertex id a cell graph can mention.
+    cell's *row* equals its dense index in the reference's
+    :attr:`CellDictionary.index_map`; rows are the vertex ids of every
+    cell graph.
 
     Attributes
     ----------
@@ -561,9 +506,8 @@ class FlatCellDictionary:
     ) -> "FlatCellDictionary":
         """Build the columnar dictionary for ``points`` in one pass.
 
-        One ``np.unique`` over the combined ``(cell, sub-cell)`` rows
-        replaces the dict layout's per-cell python loop: ``O(n log n)``
-        with no per-cell interpreter work.
+        One ``np.unique`` over the combined ``(cell, sub-cell)`` rows:
+        ``O(n log n)`` with no per-cell interpreter work.
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2:
@@ -763,9 +707,6 @@ class FlatCellDictionary:
     def __len__(self) -> int:
         return self.cell_ids.shape[0]
 
-    def __contains__(self, cell_id: CellId) -> bool:
-        return self.index_map.get(cell_id) is not None
-
     @property
     def num_cells(self) -> int:
         """Number of non-empty cells."""
@@ -790,18 +731,9 @@ class FlatCellDictionary:
             h=self.geometry.h,
         )
 
-    @property
-    def index_map(self) -> _FlatIndexMap:
-        """Mapping-style ``cell id -> dense row`` view (binary search)."""
-        return _FlatIndexMap(self)
-
     def cell_at(self, row: int) -> CellId:
         """Cell id of dense ``row`` (inverse of :meth:`row_of`)."""
         return tuple(int(v) for v in self.cell_ids[row])
-
-    def cell_ids_array(self) -> np.ndarray:
-        """All cell ids as an ``(C, d)`` int64 array (lexicographic)."""
-        return self.cell_ids
 
     # ------------------------------------------------------------------
     # Lookup
@@ -844,9 +776,6 @@ class FlatCellDictionary:
         return self.sub_counts[self.offsets[row] : self.offsets[row + 1]].astype(
             np.float64
         )
-
-    def materialize_centers(self) -> None:
-        """No-op: the columnar layout ships centers precomputed."""
 
     def gather_subcells(
         self, rows: np.ndarray

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cell_graph import CellGraph, EdgeType
-from repro.core.cells import CellId
-from repro.core.dictionary import index_rows
+from repro.core.cell_graph import EdgeType, FlatCellGraph
+from repro.core.dictionary import FlatCellDictionary, index_rows
 from repro.core.partitioning import Partition
+from repro.core.sharding import PartialFlatDictionary
 from repro.graph.spanning_forest import connected_components
 from repro.spatial.distance import pairwise_distances
 
@@ -43,16 +43,16 @@ NOISE = -1
 class LabelingContext:
     """Broadcast payload for Phase III-2.
 
-    Cells are addressed by their dense dictionary *index*
-    (:attr:`~repro.core.dictionary.CellDictionary.index_map`), matching
-    the vertices of the global cell graph.
+    Cells are addressed by their dense dictionary *row*, matching the
+    vertices of the global cell graph.
 
     Attributes
     ----------
     eps:
         DBSCAN radius for the exact border checks.
-    index_map:
-        Cell id -> dense index, shared with Phase II.
+    dictionary:
+        The broadcast dictionary shared with Phase II; it maps each
+        partition's cell ids to their rows.
     cell_labels:
         Cluster id for every core cell index (dense ints from 0).
     predecessors:
@@ -64,7 +64,7 @@ class LabelingContext:
     """
 
     eps: float
-    index_map: dict[CellId, int]
+    dictionary: FlatCellDictionary | PartialFlatDictionary
     cell_labels: dict[int, int]
     predecessors: dict[int, list[int]]
     predecessor_core_points: dict[int, np.ndarray]
@@ -76,8 +76,19 @@ class LabelingContext:
             return 0
         return len(set(self.cell_labels.values()))
 
+    def cell_label_array(self, num_cells: int) -> np.ndarray:
+        """``(num_cells,)`` int64 cluster id per cell row, ``-1`` for
+        non-core cells — the model plane's ``cell_labels`` column."""
+        out = np.full(num_cells, NOISE, dtype=np.int64)
+        count = len(self.cell_labels)
+        if count:
+            out[np.fromiter(self.cell_labels, dtype=np.int64, count=count)] = (
+                np.fromiter(self.cell_labels.values(), dtype=np.int64, count=count)
+            )
+        return out
 
-def core_cell_labels(graph: CellGraph) -> dict[int, int]:
+
+def core_cell_labels(graph: FlatCellGraph) -> dict[int, int]:
     """Canonical cluster id for every core cell of ``graph``.
 
     One spanning tree over **full** edges is one cluster (Lemma 3.5);
@@ -96,18 +107,18 @@ def core_cell_labels(graph: CellGraph) -> dict[int, int]:
 
 
 def build_labeling_context(
-    graph: CellGraph,
+    graph: FlatCellGraph,
     partitions: list[Partition],
     core_masks: dict[int, np.ndarray],
     eps: float,
-    index_map: dict[CellId, int],
+    dictionary: FlatCellDictionary | PartialFlatDictionary,
 ) -> LabelingContext:
     """Driver-side assembly of the labeling broadcast.
 
     Parameters
     ----------
     graph:
-        The global cell graph (Definition 6.1), vertexed by cell index.
+        The global cell graph (Definition 6.1), vertexed by cell row.
     partitions:
         All pseudo random partitions (to gather core points of
         partial-edge source cells).
@@ -115,9 +126,8 @@ def build_labeling_context(
         Per-partition boolean core masks from Phase II, keyed by pid.
     eps:
         DBSCAN radius.
-    index_map:
-        Cell id -> dense index (the dictionary's
-        :attr:`~repro.core.dictionary.CellDictionary.index_map`).
+    dictionary:
+        The dictionary whose rows are the graph's vertices.
     """
     cell_labels = core_cell_labels(graph)
 
@@ -135,7 +145,7 @@ def build_labeling_context(
         if not partition.cell_slices:
             continue
         mask = core_masks[partition.pid]
-        rows, bounds = _partition_rows(partition, index_map)
+        rows, bounds = _partition_rows(partition, dictionary)
         for g in np.flatnonzero(np.isin(rows, needed)).tolist():
             start, stop = int(bounds[g]), int(bounds[g + 1])
             # gather_rows reads just these rows from an out-of-core
@@ -144,7 +154,7 @@ def build_labeling_context(
             predecessor_core_points[int(rows[g])] = core_points
     return LabelingContext(
         eps=eps,
-        index_map=index_map,
+        dictionary=dictionary,
         cell_labels=cell_labels,
         predecessors=predecessors,
         predecessor_core_points=predecessor_core_points,
@@ -152,13 +162,13 @@ def build_labeling_context(
 
 
 def _partition_rows(
-    partition: Partition, index_map: dict[CellId, int]
+    partition: Partition, dictionary: FlatCellDictionary | PartialFlatDictionary
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(rows, bounds)``: the dense row of every cell of ``partition``
     (one lookup for the partition) and the cells' CSR point bounds."""
     first = next(iter(partition.cell_slices))
     cell_ids, bounds = partition.cell_table(len(first))
-    return index_rows(index_map, cell_ids), bounds
+    return index_rows(dictionary, cell_ids), bounds
 
 
 def label_partition(
@@ -173,7 +183,7 @@ def label_partition(
     if not partition.cell_slices:
         return partition.global_indices, labels
     eps = context.eps
-    rows, bounds = _partition_rows(partition, context.index_map)
+    rows, bounds = _partition_rows(partition, context.dictionary)
     for g, row in enumerate(rows.tolist()):
         start, stop = int(bounds[g]), int(bounds[g + 1])
         cluster = context.cell_labels.get(row)

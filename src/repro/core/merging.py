@@ -27,7 +27,7 @@ The tournament can run in two *modes* sharing one match implementation
   dominate the matches.
 
 Labels, ``n_clusters``, and per-round MergeStats accounting are
-bit-identical across modes and graph layouts: the pairing is identical,
+bit-identical across modes: the pairing is identical,
 resolved/removed counts are order-invariant (an edge's resolution
 depends only on its destination's final class; removals are the
 pending-count minus the graphic-matroid rank), and component numbering
@@ -38,9 +38,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
-from repro.core.cell_graph import CellGraph, FlatCellGraph
+from repro.core.cell_graph import FlatCellGraph
 from repro.core.serialization import (
     deserialize_cell_graph,
     serialize_cell_graph,
@@ -60,8 +60,6 @@ __all__ = [
     "AUTO_MIN_GRAPHS",
     "AUTO_MIN_EDGES",
 ]
-
-AnyCellGraph = Union[CellGraph, FlatCellGraph]
 
 #: Counter/phase bucket for Phase III-1 (re-exported by ``rp_dbscan``).
 PHASE_MERGE = "III-1 merging"
@@ -149,8 +147,8 @@ class MergeStats:
 
 
 def merge_match(
-    a: AnyCellGraph, b: AnyCellGraph, *, reduce_edges: bool = True
-) -> tuple[AnyCellGraph, int, int]:
+    a: FlatCellGraph, b: FlatCellGraph, *, reduce_edges: bool = True
+) -> tuple[FlatCellGraph, int, int]:
     """One in-place tournament match: merge, detect types, reduce.
 
     THE single match implementation — the driver tournament, the engine
@@ -167,8 +165,8 @@ def merge_match(
 
 
 def merge_pair(
-    a: AnyCellGraph, b: AnyCellGraph, *, reduce_edges: bool = True
-) -> tuple[AnyCellGraph, int, int]:
+    a: FlatCellGraph, b: FlatCellGraph, *, reduce_edges: bool = True
+) -> tuple[FlatCellGraph, int, int]:
     """Copying wrapper around :func:`merge_match` (callers keep their
     graphs).
 
@@ -210,7 +208,7 @@ def _merge_match_task(
 
 def resolve_merge_mode(
     merge_mode: str,
-    subgraphs: "list[AnyCellGraph]",
+    subgraphs: list[FlatCellGraph],
     engine: "Engine | None",
 ) -> str:
     """Resolve ``merge_mode`` to the executed mode (the auto cost model).
@@ -241,20 +239,19 @@ def resolve_merge_mode(
 
 
 def progressive_merge(
-    subgraphs: "list[AnyCellGraph]",
+    subgraphs: list[FlatCellGraph],
     *,
     reduce_edges: bool = True,
     merge_mode: str = "driver",
     engine: "Engine | None" = None,
     phase: str = PHASE_MERGE,
-) -> tuple[AnyCellGraph, MergeStats]:
+) -> tuple[FlatCellGraph, MergeStats]:
     """Merge all cell subgraphs into the global cell graph.
 
     Parameters
     ----------
     subgraphs:
-        One cell subgraph per partition (Phase II output), dict or flat
-        layout.
+        One cell subgraph per partition (Phase II output).
     reduce_edges:
         Toggle the Section 6.1.4 edge reduction.
     merge_mode:
@@ -280,7 +277,7 @@ def progressive_merge(
     """
     mode = resolve_merge_mode(merge_mode, subgraphs, engine)
     if not subgraphs:
-        return CellGraph(), MergeStats(edges_per_round=[0])
+        return FlatCellGraph(0), MergeStats(edges_per_round=[0])
     if mode == "engine":
         assert engine is not None
         final, stats = _engine_merge(subgraphs, reduce_edges, engine, phase)
@@ -308,8 +305,8 @@ def progressive_merge(
 
 
 def _driver_merge(
-    subgraphs: "list[AnyCellGraph]", reduce_edges: bool
-) -> tuple[AnyCellGraph, MergeStats]:
+    subgraphs: list[FlatCellGraph], reduce_edges: bool
+) -> tuple[FlatCellGraph, MergeStats]:
     """All matches on the driver, sequentially, round by round."""
     stats = MergeStats(mode="driver")
     stats.edges_per_round.append(sum(g.num_edges for g in subgraphs))
@@ -319,7 +316,7 @@ def _driver_merge(
     current = [g.copy() for g in subgraphs]
     while len(current) > 1:
         round_start = time.perf_counter()
-        next_round: list[AnyCellGraph] = []
+        next_round: list[FlatCellGraph] = []
         resolved_total = 0
         removed_total = 0
         match_times: list[float] = []
@@ -347,11 +344,11 @@ def _driver_merge(
 
 
 def _engine_merge(
-    subgraphs: "list[AnyCellGraph]",
+    subgraphs: list[FlatCellGraph],
     reduce_edges: bool,
     engine: "Engine",
     phase: str = PHASE_MERGE,
-) -> tuple[AnyCellGraph, MergeStats]:
+) -> tuple[FlatCellGraph, MergeStats]:
     """Each round's matches dispatched through ``Engine.map_tasks``.
 
     Serialized blobs are the inter-round currency; only the tournament
@@ -416,7 +413,7 @@ def _engine_merge(
 
 
 def _finalize(
-    final: AnyCellGraph, reduce_edges: bool, stats: MergeStats
+    final: FlatCellGraph, reduce_edges: bool, stats: MergeStats
 ) -> None:
     """Post-tournament pass: a lone subgraph (k = 1) never went through
     a match, and cross-branch duplicate full edges need one full-scan

@@ -49,15 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.cells import CellGeometry, CellId
-from repro.core.defragmentation import (
-    DefragmentedDictionary,
-    FlatDefragmentedDictionary,
-)
-from repro.core.dictionary import (
-    CellDictionary,
-    FlatCellDictionary,
-    csr_gather_indices,
-)
+from repro.core.defragmentation import FlatDefragmentedDictionary
+from repro.core.dictionary import FlatCellDictionary, csr_gather_indices
 from repro.core.sharding import PartialFlatDictionary
 from repro.kernels import get_impl, resolve_kernel
 from repro.kernels import warmup as warmup_kernels
@@ -102,7 +95,7 @@ class CellBatchQueryResult:
     candidate_rows:
         ``(len(candidate_ids),)`` int64: the candidates' dense rows in
         the dictionary's sorted cell order — directly usable as cell
-        graph vertex ids, no per-tuple ``index_map`` lookups.
+        graph vertex ids.
     """
 
     candidate_ids: list[CellId]
@@ -144,10 +137,10 @@ class RegionQueryEngine:
     Parameters
     ----------
     dictionary:
-        A :class:`CellDictionary` or :class:`FlatCellDictionary`, their
-        defragmented wrappers (enables sub-dictionary-skipping
-        accounting), or a :class:`PartialFlatDictionary` (budgeted shard
-        residency); results are identical in every case.
+        A :class:`FlatCellDictionary`, its defragmented wrapper (enables
+        sub-dictionary-skipping accounting), or a
+        :class:`PartialFlatDictionary` (budgeted shard residency);
+        results are identical in every case.
     strategy:
         Candidate-cell search: ``"enumerate"`` (integer offsets),
         ``"kdtree"`` (tree over non-empty cell centers), or ``"auto"``
@@ -165,11 +158,7 @@ class RegionQueryEngine:
     def __init__(
         self,
         dictionary: (
-            CellDictionary
-            | FlatCellDictionary
-            | DefragmentedDictionary
-            | FlatDefragmentedDictionary
-            | PartialFlatDictionary
+            FlatCellDictionary | FlatDefragmentedDictionary | PartialFlatDictionary
         ),
         *,
         strategy: str = "auto",
@@ -177,7 +166,7 @@ class RegionQueryEngine:
     ) -> None:
         # A defragmented wrapper, or a partial dictionary (its residency
         # oracle), records which pieces each query consults.
-        if isinstance(dictionary, (DefragmentedDictionary, FlatDefragmentedDictionary)):
+        if isinstance(dictionary, FlatDefragmentedDictionary):
             self._recorder = dictionary
             inner = dictionary.dictionary
         else:
@@ -187,35 +176,23 @@ class RegionQueryEngine:
         self.kernel = resolve_kernel(kernel)
         self._impl = get_impl(self.kernel) if self.kernel != "numpy" else None
         self.geometry: CellGeometry = inner.geometry
-        flat = isinstance(inner, (FlatCellDictionary, PartialFlatDictionary))
         # The finder consumes the lexicographically sorted id array, so
         # its rows are the dictionary's dense indices and every candidate
         # list comes back in a deterministic (lexicographic) order.
-        ids = inner.cell_ids if flat else inner.cell_ids_array()
         self._finder = NeighborCellFinder(
-            ids,
+            inner.cell_ids,
             self.geometry.side,
             self.geometry.eps,
             strategy=strategy,
         )
         self.strategy = self._finder.strategy
-        # Per-row root densities and sub-cell block sizes, for every
-        # layout; the lists follow the sorted (dense row) order.
-        if flat:
-            self._cell_counts = np.asarray(inner.cell_counts, dtype=np.float64)
-            self._sub_sizes = np.diff(np.asarray(inner.offsets, dtype=np.int64))
-        else:
-            summaries = [inner.cells[tuple(row)] for row in ids.tolist()]
-            self._cell_counts = np.array(
-                [s.count for s in summaries], dtype=np.float64
-            )
-            self._sub_sizes = np.array(
-                [s.num_subcells for s in summaries], dtype=np.int64
-            )
-        # Monolithic CSR arrays (the flat layout, incl. its defragmented
-        # wrapper) are the sub-cell pool itself: a sweep indexes them by
-        # offset and never copies a block.  The sharded and dict layouts
-        # gather the blocks a sweep step needs into a pool instead.
+        # Per-row root densities and sub-cell block sizes.
+        self._cell_counts = np.asarray(inner.cell_counts, dtype=np.float64)
+        self._sub_sizes = np.diff(np.asarray(inner.offsets, dtype=np.int64))
+        # Monolithic CSR arrays (incl. the defragmented wrapper's) are
+        # the sub-cell pool itself: a sweep indexes them by offset and
+        # never copies a block.  A sharded dictionary gathers the blocks
+        # a sweep step needs into a pool instead.
         if isinstance(inner, FlatCellDictionary):
             self._csr_pool = (
                 inner.sub_centers,
@@ -418,23 +395,14 @@ class RegionQueryEngine:
         """``(centers, densities, starts)``: a pool holding the sub-cell
         blocks of ``rows`` and each row's block start in it.
 
-        On the monolithic CSR layouts the pool is the dictionary itself;
-        otherwise the distinct rows are gathered once (sharded layouts
-        attach only the shards those rows live in)."""
+        On a monolithic dictionary the pool is the dictionary itself; a
+        sharded one gathers the distinct rows once, attaching only the
+        shards those rows live in."""
         if self._csr_pool is not None:
             centers, densities, offsets = self._csr_pool
             return centers, densities, offsets[rows]
         distinct, inverse = np.unique(rows, return_inverse=True)
-        if isinstance(self._dict, PartialFlatDictionary):
-            centers, densities, sizes = self._dict.gather_subcells(distinct)
-        else:
-            cell_ids = self._finder.cell_ids[distinct].tolist()
-            blocks = [self._dict.sub_cell_centers(tuple(c)) for c in cell_ids]
-            centers = np.concatenate(blocks)
-            densities = np.concatenate(
-                [self._dict.densities(tuple(c)) for c in cell_ids]
-            )
-            sizes = self._sub_sizes[distinct]
+        centers, densities, sizes = self._dict.gather_subcells(distinct)
         starts = np.zeros(distinct.size, dtype=np.int64)
         np.cumsum(sizes[:-1], out=starts[1:])
         return centers, densities, starts[inverse.reshape(-1)]

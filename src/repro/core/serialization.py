@@ -18,12 +18,11 @@ byte-alignment padding of the bit-packed positions).
 from __future__ import annotations
 
 import io
-import pickle
 import struct
 
 import numpy as np
 
-from repro.core.cell_graph import CellGraph, FlatCellGraph
+from repro.core.cell_graph import FlatCellGraph
 from repro.core.cells import CellGeometry, CellId
 from repro.core.dictionary import CellDictionary, CellSummary, FlatCellDictionary
 from repro.graph.union_find import ArrayUnionFind
@@ -83,9 +82,10 @@ def serialize_dictionary(
 ) -> bytes:
     """Encode ``dictionary`` into the paper's compact byte layout.
 
-    Both layouts produce byte-identical streams: cells are written in
-    lexicographic order, which is the columnar layout's native row
-    order, so the flat encoder just walks CSR slices.
+    The flat dictionary and the reference :class:`CellDictionary`
+    produce byte-identical streams: cells are written in lexicographic
+    order, which is the columnar layout's native row order, so the flat
+    encoder just walks CSR slices.
     """
     geometry = dictionary.geometry
     dim = geometry.dim
@@ -128,7 +128,9 @@ def serialize_dictionary(
 
 
 def deserialize_dictionary(data: bytes) -> CellDictionary:
-    """Decode a byte stream produced by :func:`serialize_dictionary`."""
+    """Decode a byte stream produced by :func:`serialize_dictionary` into
+    the reference :class:`CellDictionary` (the pipeline decodes with
+    :func:`deserialize_flat_dictionary`)."""
     magic, eps, rho, dim, num_cells = _HEADER.unpack_from(data, 0)
     if magic != _MAGIC:
         raise ValueError("not an RP-DBSCAN dictionary stream")
@@ -233,52 +235,48 @@ def deserialize_flat_dictionary(data: bytes) -> FlatCellDictionary:
 # Cell-graph payloads (Phase III-1 engine tournament)
 # ----------------------------------------------------------------------
 
-_GRAPH_MAGIC_FLAT = b"RPGF"
-_GRAPH_MAGIC_DICT = b"RPGD"
+_GRAPH_MAGIC = b"RPGF"
 
 
-def serialize_cell_graph(graph: CellGraph | FlatCellGraph) -> bytes:
+def serialize_cell_graph(graph: FlatCellGraph) -> bytes:
     """Encode a cell (sub)graph for an engine merge-task payload.
 
-    Flat graphs become a 4-byte magic plus an npz archive of their
-    columns (status, edge list, pending indices, union-find parents) —
-    compact, pickle-free, and exactly round-trippable.  Dict graphs fall
-    back to a magic-prefixed pickle so both layouts flow through the
-    same tournament plumbing.
+    A 4-byte magic plus an npz archive of the graph's columns (status,
+    edge list, pending indices, union-find parents) — compact,
+    pickle-free, and exactly round-trippable.
     """
-    if isinstance(graph, FlatCellGraph):
-        buffer = io.BytesIO()
-        np.savez(
-            buffer,
-            status=graph.status,
-            src=graph.src,
-            dst=graph.dst,
-            etype=graph.etype,
-            pending=np.asarray(graph._pending, dtype=np.int64),
-            parent=graph._forest.to_array(),
+    if not isinstance(graph, FlatCellGraph):
+        raise TypeError(
+            f"serialize_cell_graph takes a FlatCellGraph, got {type(graph).__name__}"
         )
-        return _GRAPH_MAGIC_FLAT + buffer.getvalue()
-    return _GRAPH_MAGIC_DICT + pickle.dumps(
-        graph, protocol=pickle.HIGHEST_PROTOCOL
+    buffer = io.BytesIO()
+    np.savez(
+        buffer,
+        status=graph.status,
+        src=graph.src,
+        dst=graph.dst,
+        etype=graph.etype,
+        pending=np.asarray(graph._pending, dtype=np.int64),
+        parent=graph._forest.to_array(),
     )
+    return _GRAPH_MAGIC + buffer.getvalue()
 
 
-def deserialize_cell_graph(data: bytes) -> CellGraph | FlatCellGraph:
-    """Inverse of :func:`serialize_cell_graph` (dispatches on magic)."""
+def deserialize_cell_graph(data: bytes) -> FlatCellGraph:
+    """Inverse of :func:`serialize_cell_graph`.  Any other magic raises
+    ``ValueError``; no payload is ever unpickled."""
     magic = data[:4]
-    if magic == _GRAPH_MAGIC_FLAT:
-        with np.load(io.BytesIO(data[4:]), allow_pickle=False) as archive:
-            return FlatCellGraph.from_arrays(
-                archive["status"],
-                archive["src"],
-                archive["dst"],
-                archive["etype"],
-                pending=archive["pending"].tolist(),
-                forest=ArrayUnionFind.from_array(archive["parent"]),
-            )
-    if magic == _GRAPH_MAGIC_DICT:
-        return pickle.loads(data[4:])
-    raise ValueError(f"unknown cell-graph stream magic {magic!r}")
+    if magic != _GRAPH_MAGIC:
+        raise ValueError(f"unknown cell-graph stream magic {magic!r}")
+    with np.load(io.BytesIO(data[4:]), allow_pickle=False) as archive:
+        return FlatCellGraph.from_arrays(
+            archive["status"],
+            archive["src"],
+            archive["dst"],
+            archive["etype"],
+            pending=archive["pending"].tolist(),
+            forest=ArrayUnionFind.from_array(archive["parent"]),
+        )
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Spawns each agent as a genuine subprocess (``python -m repro.node``) on
 an ephemeral port, parses the "listening" line for the bound address,
 and yields the ``host:port`` list ready to hand to
-``Engine(executor="remote", nodes=...)``.  Real processes — not
+``Engine("remote", nodes=...)``.  Real processes — not
 threads — so node death, reconnects, and per-node shm segments behave
 exactly as they would across machines, just without the network.
 

@@ -13,11 +13,11 @@ The kernel takes one step of the per-partition sweep
 (:meth:`~repro.core.region_query.RegionQueryEngine.query_partition`):
 a block of points, each with its run of (point, candidate) pairs, the
 pairs' ``near``/``full`` box classes, and a sub-cell *pool* addressed by
-per-candidate segments.  One shape serves every dictionary layout: on
-the monolithic CSR layout (flat, and its defragmented wrapper) the pool
-*is* the dictionary's ``sub_centers``/``sub_counts`` and a segment is a
-CSR slice, so no block is ever copied; the sharded and dict layouts
-gather the step's blocks into a pool first.
+per-candidate segments.  One shape serves every dictionary: on a
+monolithic one (and its defragmented wrapper) the pool *is* the
+dictionary's ``sub_centers``/``sub_counts`` and a segment is a CSR
+slice, so no block is ever copied; a sharded dictionary gathers the
+step's blocks into a pool first.
 
 Bit-identity contract (pinned by ``tests/kernels/``)
 ----------------------------------------------------

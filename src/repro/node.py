@@ -7,7 +7,7 @@ Quick start (one agent per machine, then point the driver at them)::
     python -m repro.node --listen 0.0.0.0:7071 --workers 8
 
     # on the driver
-    rp-dbscan cluster points.npy --executor remote \
+    rp-dbscan cluster points.npy --engine remote \
         --nodes hostA:7071,hostB:7071 ...
 
 The agent prints ``rp-dbscan node listening on HOST:PORT ...`` once the

@@ -2,13 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from repro.core.cells import CellGeometry
 from repro.core.defragmentation import defragment
-from repro.core.dictionary import CellDictionary, FlatCellDictionary
+from repro.core.dictionary import FlatCellDictionary
 
 
 @pytest.fixture()
@@ -17,115 +14,109 @@ def geometry():
 
 
 @pytest.fixture()
-def dictionary(geometry):
+def flat(geometry):
     rng = np.random.default_rng(0)
     pts = rng.uniform(0, 5, (3000, 2))
-    return CellDictionary.from_points(pts, geometry)
+    return FlatCellDictionary.from_points(pts, geometry)
 
 
 class TestDefragment:
-    def test_pieces_cover_dictionary_disjointly(self, dictionary):
-        defrag = defragment(dictionary, capacity=200)
-        seen = set()
+    def test_pieces_cover_dictionary_disjointly(self, flat):
+        defrag = defragment(flat, capacity=200)
+        seen: set = set()
         for sub in defrag.sub_dicts:
-            assert not (seen & sub.cells.keys())
-            seen |= sub.cells.keys()
-        assert seen == set(dictionary.cells)
+            rows = set(sub.rows.tolist())
+            assert not (seen & rows)
+            seen |= rows
+        assert seen == set(range(flat.num_cells))
 
-    def test_capacity_respected(self, dictionary):
+    def test_capacity_respected(self, flat):
         capacity = 150
-        defrag = defragment(dictionary, capacity=capacity)
+        defrag = defragment(flat, capacity=capacity)
         for sub in defrag.sub_dicts:
             # A leaf piece can exceed capacity only if it is one cell.
-            assert sub.num_entries <= capacity or len(sub.cells) == 1
+            assert sub.num_entries <= capacity or sub.rows.size == 1
 
-    def test_balanced_sizes(self, dictionary):
-        defrag = defragment(dictionary, capacity=300)
+    def test_balanced_sizes(self, flat):
+        defrag = defragment(flat, capacity=300)
         sizes = [sub.num_entries for sub in defrag.sub_dicts]
         assert max(sizes) <= 3 * max(min(sizes), 1)
 
-    def test_huge_capacity_single_piece(self, dictionary):
-        defrag = defragment(dictionary, capacity=10**9)
+    def test_huge_capacity_single_piece(self, flat):
+        defrag = defragment(flat, capacity=10**9)
         assert defrag.num_sub_dicts == 1
 
     def test_empty_dictionary(self, geometry):
-        empty = CellDictionary(geometry, {})
+        empty = FlatCellDictionary.from_points(np.empty((0, 2)), geometry)
         defrag = defragment(empty, capacity=10)
         assert defrag.num_sub_dicts == 0
 
-    def test_rejects_bad_capacity(self, dictionary):
+    def test_rejects_bad_capacity(self, flat):
         with pytest.raises(ValueError):
-            defragment(dictionary, capacity=0)
+            defragment(flat, capacity=0)
 
-    def test_mbr_covers_subcell_centers(self, dictionary):
-        defrag = defragment(dictionary, capacity=200)
+    def test_mbr_covers_subcell_centers(self, flat):
+        defrag = defragment(flat, capacity=200)
         for sub in defrag.sub_dicts:
-            for cell_id in sub.cells:
-                centers = dictionary.sub_cell_centers(cell_id)
+            for row in sub.rows.tolist():
+                centers = flat.sub_cell_centers(flat.cell_at(row))
                 assert np.all(centers >= sub.mbr.lo - 1e-9)
                 assert np.all(centers <= sub.mbr.hi + 1e-9)
 
-    def test_geometric_contiguity(self, dictionary):
+    def test_geometric_contiguity(self, flat):
         # BSP cuts are axis-aligned hyperplanes, so two sub-dictionaries
         # never interleave: piece MBRs can overlap only on boundaries.
-        defrag = defragment(dictionary, capacity=400)
+        defrag = defragment(flat, capacity=400)
         owners = {}
         for idx, sub in enumerate(defrag.sub_dicts):
-            for cell_id in sub.cells:
-                owners[cell_id] = idx
-        assert len({owners[c] for c in dictionary.cells}) == defrag.num_sub_dicts
+            for row in sub.rows.tolist():
+                owners[row] = idx
+        assert len(set(owners.values())) == defrag.num_sub_dicts
+        assert sorted(owners) == list(range(flat.num_cells))
 
 
 class TestOwnerLookup:
-    def test_owner_of(self, dictionary):
-        defrag = defragment(dictionary, capacity=200)
+    def test_owner_of(self, flat):
+        defrag = defragment(flat, capacity=200)
         for idx, sub in enumerate(defrag.sub_dicts):
-            for cell_id in sub.cells:
-                assert defrag.owner_of(cell_id) == idx
+            for row in sub.rows.tolist():
+                assert defrag.owner_of(flat.cell_at(row)) == idx
 
 
 class TestSkipping:
-    def test_relevant_subdicts_never_skip_neighbors(self, dictionary, geometry):
+    def test_relevant_subdicts_never_skip_neighbors(self, flat, geometry):
         # Soundness of Lemma 5.10: a sub-dictionary containing a sub-cell
         # center within eps of the query is always kept.
-        defrag = defragment(dictionary, capacity=200)
+        defrag = defragment(flat, capacity=200)
         rng = np.random.default_rng(1)
         eps = geometry.eps
         for _ in range(20):
             query = rng.uniform(0, 5, 2)
             kept = set(defrag.relevant_sub_dicts(query, eps))
             for idx, sub in enumerate(defrag.sub_dicts):
-                for cell_id in sub.cells:
-                    centers = dictionary.sub_cell_centers(cell_id)
-                    diff = centers - query
-                    if np.any(np.einsum("ij,ij->i", diff, diff) <= eps * eps):
-                        assert idx in kept
+                centers, _, _ = flat.gather_subcells(sub.rows)
+                diff = centers - query
+                if np.any(np.einsum("ij,ij->i", diff, diff) <= eps * eps):
+                    assert idx in kept
 
-    def test_far_query_skips_everything(self, dictionary, geometry):
-        defrag = defragment(dictionary, capacity=200)
+    def test_far_query_skips_everything(self, flat, geometry):
+        defrag = defragment(flat, capacity=200)
         kept = defrag.relevant_sub_dicts(np.array([1e6, 1e6]), geometry.eps)
         assert kept == []
 
-    def test_statistics_accumulate(self, dictionary, geometry):
-        defrag = defragment(dictionary, capacity=200)
+    def test_statistics_accumulate(self, flat, geometry):
+        defrag = defragment(flat, capacity=200)
         assert defrag.average_consulted() == 0.0
         defrag.relevant_sub_dicts(np.array([2.5, 2.5]), geometry.eps)
         assert defrag.queries == 1
         assert defrag.average_consulted() >= 0
 
-    def test_record_cells_consulted(self, dictionary):
-        defrag = defragment(dictionary, capacity=200)
-        some_cells = list(dictionary.cells)[:5]
+    def test_record_cells_consulted(self, flat):
+        defrag = defragment(flat, capacity=200)
+        some_cells = [flat.cell_at(row) for row in range(5)]
         touched = defrag.record_cells_consulted(some_cells)
         assert 1 <= touched <= defrag.num_sub_dicts
         assert defrag.queries == 1
-
-
-@pytest.fixture()
-def flat(geometry):
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(0, 5, (3000, 2))
-    return FlatCellDictionary.from_points(pts, geometry)
 
 
 class TestFlatEdgeCases:
@@ -159,30 +150,3 @@ class TestFlatEdgeCases:
         assert defrag.queries == 1
         assert defrag.record_cells_consulted([absent, absent]) == 0
         assert defrag.queries == 2
-
-
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    points=arrays(
-        np.float64,
-        st.tuples(st.integers(1, 150), st.integers(1, 3)),
-        elements=st.floats(-5, 5, allow_nan=False, width=32),
-    ),
-    capacity=st.integers(1, 500),
-)
-def test_dict_and_flat_defragment_identically(points, capacity):
-    """Both layouts run the same BSP over the same sorted cell ids, so
-    they must produce the same partition into sub-dictionaries."""
-    geometry = CellGeometry(eps=0.5, dim=points.shape[1], rho=0.1)
-    dict_pieces = {
-        frozenset(sub.cells)
-        for sub in defragment(
-            CellDictionary.from_points(points, geometry), capacity=capacity
-        ).sub_dicts
-    }
-    flat = FlatCellDictionary.from_points(points, geometry)
-    flat_pieces = {
-        frozenset(flat.cell_at(row) for row in sub.rows)
-        for sub in defragment(flat, capacity=capacity).sub_dicts
-    }
-    assert flat_pieces == dict_pieces

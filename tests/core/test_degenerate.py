@@ -91,12 +91,12 @@ class TestCoarsestApproximation:
 
     def test_rho_one_dictionary_is_single_level(self, two_blobs):
         from repro.core.cells import CellGeometry
-        from repro.core.dictionary import CellDictionary
+        from repro.core.dictionary import FlatCellDictionary
 
         geometry = CellGeometry(0.3, 2, rho=1.0)
         assert geometry.h == 1
         assert geometry.subcells_per_cell == 1
-        dictionary = CellDictionary.from_points(two_blobs, geometry)
+        dictionary = FlatCellDictionary.from_points(two_blobs, geometry)
         assert dictionary.num_subcells == dictionary.num_cells
 
 

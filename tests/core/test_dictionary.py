@@ -93,11 +93,10 @@ class TestMerge:
     def test_merge_equals_global_build(self, geometry, uniform_points):
         # Per-partition build + merge == one global build.
         from repro.core.partitioning import pseudo_random_partition
-        from repro.core.rp_dbscan import _dictionary_from_partition
 
         partitions = pseudo_random_partition(uniform_points, geometry, 4, seed=1)
         partials = [
-            _dictionary_from_partition(p, geometry)
+            CellDictionary.from_points(p.points, geometry)
             for p in partitions
             if p.num_points
         ]
@@ -200,6 +199,7 @@ class TestIncrementalUpdate:
             d.add_points(np.zeros((3, 3)))
 
     def test_queries_after_update(self, geometry):
+        from repro.core.dictionary import FlatCellDictionary
         from repro.core.region_query import RegionQueryEngine
 
         rng = np.random.default_rng(12)
@@ -207,7 +207,7 @@ class TestIncrementalUpdate:
         second = rng.normal([1, 1], 0.2, (300, 2))
         d = CellDictionary.from_points(first, geometry)
         d.add_points(second)
-        engine = RegionQueryEngine(d)
+        engine = RegionQueryEngine(FlatCellDictionary.from_cell_dictionary(d))
         count, _ = engine.query_point(np.array([1.0, 1.0]))
         both = np.concatenate([first, second])
         diff = both - np.array([1.0, 1.0])

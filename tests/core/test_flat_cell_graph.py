@@ -1,10 +1,14 @@
 """FlatCellGraph: the columnar cell graph vs the CellGraph reference.
 
-Every behavior the tournament relies on — construction, absorb, edge-type
-detection, reduction, serialization — must be bit-identical between the
-struct-of-arrays layout and the dict-of-tuples reference.  Vertex ids are
-dense flat rows (PR 4), so both layouts speak the same integer universe.
+Every behavior the tournament relies on — absorb, edge-type detection,
+reduction, conversion, serialization — must agree between the
+struct-of-arrays graph and the dict-of-tuples reference.  The reference
+graphs are the pipeline's own subgraphs converted with
+``to_cell_graph``; vertex ids are dense flat rows, so both speak the
+same integer universe.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -14,13 +18,12 @@ from repro.core.cell_graph import (
     V_CORE,
     V_NONCORE,
     V_UNDETERMINED,
-    CellGraph,
     EdgeType,
     FlatCellGraph,
 )
 from repro.core.cells import CellGeometry
 from repro.core.construction import QueryContext, build_cell_subgraph
-from repro.core.dictionary import CellDictionary
+from repro.core.dictionary import FlatCellDictionary
 from repro.core.merging import merge_match, progressive_merge
 from repro.core.partitioning import pseudo_random_partition
 from repro.core.serialization import (
@@ -41,21 +44,24 @@ def canonical(labels: dict) -> frozenset:
     return frozenset(frozenset(g) for g in groups.values())
 
 
-def pipeline_subgraphs(seed: int, layout: str):
-    """Phase I + II on a two-blob dataset, in the requested layout."""
+def pipeline_subgraphs(seed: int):
+    """Phase I + II on a two-blob dataset."""
     rng = np.random.default_rng(seed)
     pts = np.concatenate(
         [rng.normal([0, 0], 0.2, (60, 2)), rng.normal([4, 4], 0.2, (60, 2))]
     )
     geometry = CellGeometry(0.5, 2, 0.01)
     partitions = pseudo_random_partition(pts, geometry, 4, seed=seed)
-    dictionary = CellDictionary.from_points(pts, geometry)
+    dictionary = FlatCellDictionary.from_points(pts, geometry)
     context = QueryContext(dictionary)
-    graphs = [
-        build_cell_subgraph(p, context, 5, graph_layout=layout).graph
-        for p in partitions
-    ]
+    graphs = [build_cell_subgraph(p, context, 5).graph for p in partitions]
     return graphs, dictionary.num_cells
+
+
+def reference_subgraphs(seed: int):
+    """The pipeline subgraphs as reference :class:`CellGraph` objects."""
+    graphs, _ = pipeline_subgraphs(seed)
+    return [g.to_cell_graph() for g in graphs]
 
 
 def full_components(graph) -> frozenset:
@@ -69,45 +75,13 @@ def full_components(graph) -> frozenset:
 SEEDS = [0, 1, 2, 3, 4]
 
 
-class TestConstructionParity:
-    """Phase II must emit the same subgraph in either layout."""
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_vertices_and_edges_identical(self, seed):
-        flat_graphs, n_slots = pipeline_subgraphs(seed, "flat")
-        dict_graphs, _ = pipeline_subgraphs(seed, "dict")
-        for flat, ref in zip(flat_graphs, dict_graphs):
-            assert isinstance(flat, FlatCellGraph)
-            assert isinstance(ref, CellGraph)
-            assert flat.n_slots == n_slots
-            assert flat.core == ref.core
-            assert flat.noncore == ref.noncore
-            assert flat.undetermined == ref.undetermined
-            for etype in EdgeType:
-                assert flat.edges_of_type(etype) == ref.edges_of_type(etype)
-            flat.validate()
-
-    @pytest.mark.parametrize("seed", SEEDS[:2])
-    def test_invalid_layout_rejected(self, seed):
-        rng = np.random.default_rng(seed)
-        pts = rng.normal(0, 1, (30, 2))
-        geometry = CellGeometry(0.5, 2, 0.01)
-        partitions = pseudo_random_partition(pts, geometry, 2, seed=0)
-        dictionary = CellDictionary.from_points(pts, geometry)
-        with pytest.raises(ValueError, match="graph_layout"):
-            build_cell_subgraph(
-                partitions[0], QueryContext(dictionary), 5,
-                graph_layout="sparse",
-            )
-
-
 class TestMergeParity:
-    """merge_match and the full tournament agree across layouts."""
+    """merge_match and the full tournament agree with the reference."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_merge_match_counts_and_edges(self, seed):
-        flat_graphs, _ = pipeline_subgraphs(seed, "flat")
-        dict_graphs, _ = pipeline_subgraphs(seed, "dict")
+        flat_graphs, _ = pipeline_subgraphs(seed)
+        dict_graphs = reference_subgraphs(seed)
         fa, fb = flat_graphs[0].copy(), flat_graphs[1].copy()
         da, db = dict_graphs[0].copy(), dict_graphs[1].copy()
         f_merged, f_resolved, f_removed = merge_match(fa, fb)
@@ -131,8 +105,8 @@ class TestMergeParity:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_progressive_merge_stats_and_components(self, seed):
-        flat_graphs, _ = pipeline_subgraphs(seed, "flat")
-        dict_graphs, _ = pipeline_subgraphs(seed, "dict")
+        flat_graphs, _ = pipeline_subgraphs(seed)
+        dict_graphs = reference_subgraphs(seed)
         f_final, f_stats = progressive_merge(flat_graphs)
         d_final, d_stats = progressive_merge(dict_graphs)
         assert f_stats.edges_per_round == d_stats.edges_per_round
@@ -143,8 +117,8 @@ class TestMergeParity:
 
     @pytest.mark.parametrize("seed", SEEDS[:3])
     def test_reduction_off_parity(self, seed):
-        flat_graphs, _ = pipeline_subgraphs(seed, "flat")
-        dict_graphs, _ = pipeline_subgraphs(seed, "dict")
+        flat_graphs, _ = pipeline_subgraphs(seed)
+        dict_graphs = reference_subgraphs(seed)
         f_final, f_stats = progressive_merge(flat_graphs, reduce_edges=False)
         d_final, d_stats = progressive_merge(dict_graphs, reduce_edges=False)
         assert f_stats.edges_per_round == d_stats.edges_per_round
@@ -155,7 +129,7 @@ class TestMergeParity:
 class TestConversions:
     @pytest.mark.parametrize("seed", SEEDS[:3])
     def test_round_trip_through_dict(self, seed):
-        flat_graphs, n_slots = pipeline_subgraphs(seed, "flat")
+        flat_graphs, n_slots = pipeline_subgraphs(seed)
         for flat in flat_graphs:
             back = FlatCellGraph.from_cell_graph(
                 flat.to_cell_graph(), n_slots
@@ -172,7 +146,8 @@ class TestConversions:
 
     @pytest.mark.parametrize("seed", SEEDS[:3])
     def test_round_trip_through_flat(self, seed):
-        dict_graphs, n_slots = pipeline_subgraphs(seed, "dict")
+        dict_graphs = reference_subgraphs(seed)
+        _, n_slots = pipeline_subgraphs(seed)
         for ref in dict_graphs:
             back = FlatCellGraph.from_cell_graph(ref, n_slots).to_cell_graph()
             assert back.edges == ref.edges
@@ -181,10 +156,26 @@ class TestConversions:
             assert back.undetermined == ref.undetermined
 
 
+#: Side effects of unpickling a :class:`_SideEffect`.
+_UNPICKLED: list = []
+
+
+def _record_unpickle() -> None:
+    _UNPICKLED.append("unpickled")
+
+
+class _SideEffect:
+    """Unpickling an instance records a side effect — a stand-in for a
+    hostile payload."""
+
+    def __reduce__(self):
+        return _record_unpickle, ()
+
+
 class TestSerialization:
     @pytest.mark.parametrize("seed", SEEDS[:3])
     def test_flat_blob_round_trip(self, seed):
-        flat_graphs, _ = pipeline_subgraphs(seed, "flat")
+        flat_graphs, _ = pipeline_subgraphs(seed)
         graph = flat_graphs[0]
         blob = serialize_cell_graph(graph)
         back = deserialize_cell_graph(blob)
@@ -198,14 +189,21 @@ class TestSerialization:
             back._forest.roots(), graph._forest.roots()
         )
 
-    def test_dict_blob_round_trip(self):
-        graph = CellGraph()
-        graph.add_core_cell(0)
-        graph.add_noncore_cell(1)
-        graph.add_edge(0, 1, EdgeType.PARTIAL)
-        back = deserialize_cell_graph(serialize_cell_graph(graph))
-        assert isinstance(back, CellGraph)
-        assert back.edges == graph.edges
+    def test_pickle_blob_rejected_without_unpickling(self):
+        # The retired dict-graph magic must not reach pickle: a blob whose
+        # unpickling would record a side effect is refused before any
+        # payload byte is decoded.
+        blob = b"RPGD" + pickle.dumps(_SideEffect())
+        pickle.loads(blob[4:])
+        assert _UNPICKLED == ["unpickled"]  # the payload is live
+        _UNPICKLED.clear()
+        with pytest.raises(ValueError, match="magic"):
+            deserialize_cell_graph(blob)
+        assert _UNPICKLED == []
+
+    def test_only_flat_graphs_serialize(self):
+        with pytest.raises(TypeError, match="FlatCellGraph"):
+            serialize_cell_graph(pipeline_subgraphs(0)[0][0].to_cell_graph())
 
     def test_unknown_magic_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.cells import CellGeometry
 from repro.core.construction import QueryContext, build_cell_subgraph
-from repro.core.dictionary import CellDictionary
+from repro.core.dictionary import FlatCellDictionary
 from repro.core.labeling import NOISE, build_labeling_context, label_partition
 from repro.core.merging import progressive_merge
 from repro.core.partitioning import pseudo_random_partition
@@ -24,13 +24,13 @@ def pipeline():
     )
     geometry = CellGeometry(eps=0.3, dim=2, rho=0.01)
     partitions = pseudo_random_partition(pts, geometry, 4, seed=0)
-    dictionary = CellDictionary.from_points(pts, geometry)
+    dictionary = FlatCellDictionary.from_points(pts, geometry)
     context = QueryContext(dictionary)
     results = [build_cell_subgraph(p, context, 10) for p in partitions]
     graph, _ = progressive_merge([r.graph for r in results])
     core_masks = {r.pid: r.core_mask for r in results}
     labeling = build_labeling_context(
-        graph, partitions, core_masks, geometry.eps, dictionary.index_map
+        graph, partitions, core_masks, geometry.eps, dictionary
     )
     return pts, partitions, results, graph, labeling
 
@@ -71,7 +71,7 @@ class TestLabelPartition:
         for partition in partitions:
             _, labels = label_partition(partition, labeling)
             for cell_id, (start, stop) in partition.cell_slices.items():
-                cluster = labeling.cell_labels.get(labeling.index_map[cell_id])
+                cluster = labeling.cell_labels.get(labeling.dictionary.row_of(cell_id))
                 if cluster is not None:
                     assert np.all(labels[start:stop] == cluster)
 
@@ -84,7 +84,7 @@ class TestLabelPartition:
         for partition in partitions:
             _, labels = label_partition(partition, labeling)
             for cell_id, (start, stop) in partition.cell_slices.items():
-                if labeling.index_map[cell_id] in labeling.cell_labels:
+                if labeling.dictionary.row_of(cell_id) in labeling.cell_labels:
                     continue
                 for row in range(start, stop):
                     if labels[row] != NOISE:

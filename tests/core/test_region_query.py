@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.cells import CellGeometry
 from repro.core.defragmentation import defragment
-from repro.core.dictionary import CellDictionary
+from repro.core.dictionary import FlatCellDictionary
 from repro.core.region_query import RegionQueryEngine
 
 
@@ -30,7 +30,7 @@ def geometry():
 
 @pytest.fixture(scope="module")
 def dictionary(workload, geometry):
-    return CellDictionary.from_points(workload, geometry)
+    return FlatCellDictionary.from_points(workload, geometry)
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +56,7 @@ class TestSandwichBound:
 
     def test_small_rho_converges_to_exact(self, workload):
         geometry = CellGeometry(eps=0.4, dim=2, rho=0.001)
-        dictionary = CellDictionary.from_points(workload, geometry)
+        dictionary = FlatCellDictionary.from_points(workload, geometry)
         engine = RegionQueryEngine(dictionary)
         rng = np.random.default_rng(2)
         disagreements = 0

@@ -226,9 +226,7 @@ class TestSweepEdges:
             global_indices=np.empty(0, dtype=np.int64),
             cell_slices={},
         )
-        result = build_cell_subgraph(
-            empty, QueryContext(dictionary), 2, graph_layout="flat"
-        )
+        result = build_cell_subgraph(empty, QueryContext(dictionary), 2)
         assert result.core_mask.size == 0 and result.num_queries == 0
         assert result.graph.num_edges == 0
         assert not result.graph.status.any()
@@ -249,9 +247,7 @@ class TestSweepEdges:
                 tuple(int(v) for v in c): (i, i + 1) for i, c in enumerate(cells)
             },
         )
-        result = build_cell_subgraph(
-            partition, QueryContext(dictionary), 1, graph_layout="flat"
-        )
+        result = build_cell_subgraph(partition, QueryContext(dictionary), 1)
         assert result.core_mask.all()
         # The two near points reach each other; the far one is alone.
         assert sorted(zip(result.graph.src.tolist(), result.graph.dst.tolist())) == [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.cells import CellGeometry
-from repro.core.dictionary import CellDictionary
+from repro.core.dictionary import CellDictionary, FlatCellDictionary
 from repro.core.region_query import RegionQueryEngine
 from repro.core.serialization import (
     HEADER_BYTES,
@@ -50,9 +50,11 @@ class TestRoundtrip:
         assert clone.geometry == dictionary.geometry
 
     def test_queries_identical_after_roundtrip(self, workload, dictionary):
-        original = RegionQueryEngine(dictionary)
+        original = RegionQueryEngine(FlatCellDictionary.from_cell_dictionary(dictionary))
         restored = RegionQueryEngine(
-            deserialize_dictionary(serialize_dictionary(dictionary))
+            FlatCellDictionary.from_cell_dictionary(
+                deserialize_dictionary(serialize_dictionary(dictionary))
+            )
         )
         rng = np.random.default_rng(1)
         for q in workload[rng.choice(workload.shape[0], 15, replace=False)]:

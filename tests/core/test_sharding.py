@@ -54,14 +54,8 @@ class TestRootParity:
         assert sharded.find_rows(missing)[0] == -1
         cid = flat.cell_at(3)
         assert sharded.row_of(cid) == flat.row_of(cid)
-        assert cid in sharded
         with pytest.raises(KeyError):
             sharded.row_of((10_000, 10_000))
-
-    def test_index_map_parity(self, flat, sharded):
-        for row in range(0, flat.num_cells, 11):
-            cid = flat.cell_at(row)
-            assert sharded.index_map[cid] == flat.index_map[cid]
 
 
 class TestGatherIdentity:

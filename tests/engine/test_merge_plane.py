@@ -107,7 +107,7 @@ def _round1_injector(kind: str, k: int = K) -> FaultInjector:
     pytest.fail(f"no single-{kind} chaos seed found for the fit window")
 
 
-def _chaos_fit(two_blobs, policy, *, k=K, graph_layout="flat"):
+def _chaos_fit(two_blobs, policy, *, k=K):
     tracer = Tracer()
     with Engine(
         "process", num_workers=4, fault_policy=policy, tracer=tracer
@@ -119,7 +119,6 @@ def _chaos_fit(two_blobs, policy, *, k=K, graph_layout="flat"):
             seed=0,
             engine=engine,
             merge_mode="engine",
-            graph_layout=graph_layout,
         ).fit(two_blobs)
     return result, tracer
 
@@ -139,19 +138,14 @@ class TestMergeRoundChaos:
         assert result.fault_events.get(FAULT_RESPAWNS, 0) >= 1
         validate_trace(tracer.spans)
 
-    @pytest.mark.parametrize("graph_layout", ["flat", "dict"])
-    def test_exception_mid_tournament(
-        self, two_blobs, serial_reference, graph_layout
-    ):
+    def test_exception_mid_tournament(self, two_blobs, serial_reference):
         policy = FaultPolicy(
             max_retries=4,
             backoff_base_s=0.001,
             speculative=False,
             injector=_round1_injector("exception"),
         )
-        result, tracer = _chaos_fit(
-            two_blobs, policy, graph_layout=graph_layout
-        )
+        result, tracer = _chaos_fit(two_blobs, policy)
         np.testing.assert_array_equal(result.labels, serial_reference.labels)
         assert result.fault_events.get(FAULT_RETRIES, 0) >= 1
         validate_trace(tracer.spans)

@@ -1,4 +1,4 @@
-"""Conformance matrix: kernel x dictionary_layout x broadcast channel.
+"""Conformance matrix: kernel x broadcast channel x broadcast form.
 
 Every combination must produce labels, core flags, and cluster counts
 bit-identical to the fault-free serial numpy reference fit — the same
@@ -24,8 +24,11 @@ KERNELS_UNDER_TEST = [
     "python",
     pytest.param("numba", marks=requires_numba),
 ]
-LAYOUTS = ("flat", "dict")
 CHANNELS = ("pickle", "shm")
+#: Broadcast forms: the whole flat dictionary, or its sharded form under
+#: a leaf budget (``broadcast_budget``), which the kernel reads through
+#: a gathered sub-cell pool.
+BROADCASTS = {"flat": {}, "sharded": {"broadcast_budget": 1 << 17}}
 
 FIT_KWARGS = dict(eps=0.3, min_pts=10, num_partitions=6, seed=0)
 
@@ -40,25 +43,22 @@ def reference(two_blobs):
 
 class TestConformanceMatrix:
     @pytest.mark.parametrize("kernel", KERNELS_UNDER_TEST)
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_serial_engine(self, two_blobs, reference, layout, kernel):
-        result = RPDBSCAN(
-            kernel=kernel, dictionary_layout=layout, **FIT_KWARGS
-        ).fit(two_blobs)
+    @pytest.mark.parametrize("form", BROADCASTS)
+    def test_serial_engine(self, two_blobs, reference, form, kernel):
+        result = RPDBSCAN(kernel=kernel, **BROADCASTS[form], **FIT_KWARGS).fit(
+            two_blobs
+        )
         np.testing.assert_array_equal(result.labels, reference.labels)
         np.testing.assert_array_equal(result.core_mask, reference.core_mask)
         assert result.n_clusters == reference.n_clusters
 
     @pytest.mark.parametrize("kernel", KERNELS_UNDER_TEST)
     @pytest.mark.parametrize("channel", CHANNELS)
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_process_engine(self, two_blobs, reference, layout, channel, kernel):
+    @pytest.mark.parametrize("form", BROADCASTS)
+    def test_process_engine(self, two_blobs, reference, form, channel, kernel):
         with Engine("process", num_workers=2, broadcast_channel=channel) as engine:
             result = RPDBSCAN(
-                kernel=kernel,
-                dictionary_layout=layout,
-                engine=engine,
-                **FIT_KWARGS,
+                kernel=kernel, engine=engine, **BROADCASTS[form], **FIT_KWARGS
             ).fit(two_blobs)
         np.testing.assert_array_equal(result.labels, reference.labels)
         np.testing.assert_array_equal(result.core_mask, reference.core_mask)

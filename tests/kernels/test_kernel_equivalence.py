@@ -21,9 +21,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.cells import CellGeometry
-from repro.core.dictionary import CellDictionary, FlatCellDictionary
+from repro.core.defragmentation import defragment
+from repro.core.dictionary import FlatCellDictionary
 from repro.core.region_query import RegionQueryEngine
 from repro.core.rp_dbscan import EXACT_RHO, RPDBSCAN
+from repro.core.sharding import ShardedFlatDictionary
 from repro.kernels import HAVE_NUMBA
 
 requires_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
@@ -38,7 +40,10 @@ BACKENDS = [
 
 RHOS = (0.0, 0.01, 0.5)
 DIMS = (1, 2, 3, 13)
-LAYOUTS = ("flat", "dict")
+#: The dictionaries every query differential runs on: the monolithic
+#: flat dictionary (the kernel reads its CSR arrays in place) and its
+#: sharded form (the kernel reads a pool gathered from the shards).
+DICTIONARIES = ("flat", "sharded")
 
 SETTINGS = settings(
     max_examples=25,
@@ -53,22 +58,20 @@ def _geometry(eps: float, dim: int, rho: float) -> CellGeometry:
     return CellGeometry(eps, dim, rho if rho > 0 else EXACT_RHO)
 
 
-def _dictionary(points, geometry, layout):
-    cd = CellDictionary.from_points(points, geometry)
-    if layout == "flat":
-        return FlatCellDictionary.from_cell_dictionary(cd)
-    return cd
+def _dictionary(points, geometry, kind):
+    flat = FlatCellDictionary.from_points(points, geometry)
+    if kind == "flat":
+        return flat
+    return ShardedFlatDictionary.from_defragmented(defragment(flat, capacity=64))
 
 
 def _occupied_cells(dictionary):
-    if isinstance(dictionary, FlatCellDictionary):
-        return [tuple(int(x) for x in row) for row in dictionary.cell_ids]
-    return list(dictionary.cells.keys())
+    return [tuple(int(x) for x in row) for row in dictionary.cell_ids]
 
 
-def assert_backend_matches_numpy(points, geometry, layout, kernel, query_points=None):
+def assert_backend_matches_numpy(points, geometry, kind, kernel, query_points=None):
     """Every batch query agrees bit-for-bit between numpy and ``kernel``."""
-    dictionary = _dictionary(points, geometry, layout)
+    dictionary = _dictionary(points, geometry, kind)
     ref = RegionQueryEngine(dictionary, kernel="numpy")
     alt = RegionQueryEngine(dictionary, kernel=kernel)
     qpts = points if query_points is None else query_points
@@ -78,12 +81,7 @@ def assert_backend_matches_numpy(points, geometry, layout, kernel, query_points=
         # Candidate gather: same cells, same (lexicographic) order, same
         # dense dictionary rows.
         assert actual.candidate_ids == expected.candidate_ids
-        if expected.candidate_rows is None:
-            assert actual.candidate_rows is None
-        else:
-            np.testing.assert_array_equal(
-                actual.candidate_rows, expected.candidate_rows
-            )
+        np.testing.assert_array_equal(actual.candidate_rows, expected.candidate_rows)
         # Density counts and distance-filter reachability: exact-equal.
         np.testing.assert_array_equal(actual.counts, expected.counts)
         np.testing.assert_array_equal(actual.touch, expected.touch)
@@ -100,17 +98,17 @@ class TestBatchQueryEquivalence:
     """Region-query level differential: counts, touch, candidate order."""
 
     @pytest.mark.parametrize("kernel", BACKENDS)
-    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("kind", DICTIONARIES)
     @pytest.mark.parametrize("rho", RHOS)
     @pytest.mark.parametrize("dim", DIMS)
-    def test_grid_sweep(self, dim, rho, layout, kernel):
+    def test_grid_sweep(self, dim, rho, kind, kernel):
         points = _blob_points(dim, n=90 if dim >= 13 else 150)
         geometry = _geometry(0.8, dim, rho)
-        assert_backend_matches_numpy(points, geometry, layout, kernel)
+        assert_backend_matches_numpy(points, geometry, kind, kernel)
 
     @pytest.mark.parametrize("kernel", BACKENDS)
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_queries_from_foreign_points(self, layout, kernel):
+    @pytest.mark.parametrize("kind", DICTIONARIES)
+    def test_queries_from_foreign_points(self, kind, kernel):
         # Query points that are not dictionary members (and far enough
         # that some batches see zero in-range candidates).
         points = _blob_points(2, n=120, seed=3)
@@ -119,17 +117,17 @@ class TestBatchQueryEquivalence:
         )
         geometry = _geometry(0.5, 2, 0.01)
         assert_backend_matches_numpy(
-            points, geometry, layout, kernel, query_points=foreign
+            points, geometry, kind, kernel, query_points=foreign
         )
 
 
 class TestDegenerateInputs:
     @pytest.mark.parametrize("kernel", BACKENDS)
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_empty_query_batch(self, layout, kernel):
+    @pytest.mark.parametrize("kind", DICTIONARIES)
+    def test_empty_query_batch(self, kind, kernel):
         points = _blob_points(2, n=60)
         geometry = _geometry(0.5, 2, 0.01)
-        dictionary = _dictionary(points, geometry, layout)
+        dictionary = _dictionary(points, geometry, kind)
         cell = _occupied_cells(dictionary)[0]
         empty = np.empty((0, 2), dtype=np.float64)
         ref = RegionQueryEngine(dictionary, kernel="numpy")
@@ -141,13 +139,13 @@ class TestDegenerateInputs:
         assert actual.counts.shape == (0,)
 
     @pytest.mark.parametrize("kernel", BACKENDS)
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_empty_cell_no_candidates_in_range(self, layout, kernel):
+    @pytest.mark.parametrize("kind", DICTIONARIES)
+    def test_empty_cell_no_candidates_in_range(self, kind, kernel):
         # A query issued from a cell far from all data: the candidate
         # set is empty, every backend returns all-zero counts.
         points = _blob_points(2, n=60)
         geometry = _geometry(0.5, 2, 0.01)
-        dictionary = _dictionary(points, geometry, layout)
+        dictionary = _dictionary(points, geometry, kind)
         far = np.full((4, 2), 1000.0)
         far_cell = tuple(int(x) for x in geometry.cell_ids(far)[0])
         ref = RegionQueryEngine(dictionary, kernel="numpy")
@@ -163,8 +161,8 @@ class TestDegenerateInputs:
     def test_single_point(self, dim, kernel):
         points = np.ones((1, dim), dtype=np.float64)
         geometry = _geometry(0.5, dim, 0.01)
-        for layout in LAYOUTS:
-            assert_backend_matches_numpy(points, geometry, layout, kernel)
+        for kind in DICTIONARIES:
+            assert_backend_matches_numpy(points, geometry, kind, kernel)
 
     @pytest.mark.parametrize("kernel", BACKENDS)
     def test_duplicate_points(self, kernel):
@@ -172,8 +170,8 @@ class TestDegenerateInputs:
         points = np.tile(np.array([[0.25, -1.5]]), (50, 1))
         points = np.concatenate([points, np.tile(np.array([[0.3, -1.4]]), (30, 1))])
         geometry = _geometry(0.5, 2, 0.01)
-        for layout in LAYOUTS:
-            assert_backend_matches_numpy(points, geometry, layout, kernel)
+        for kind in DICTIONARIES:
+            assert_backend_matches_numpy(points, geometry, kind, kernel)
 
     @pytest.mark.parametrize("kernel", BACKENDS)
     def test_all_noise_labels(self, kernel):
@@ -249,8 +247,8 @@ class TestHypothesisDifferential:
     def test_counts_and_touch_match(self, points, eps, rho, kernel):
         dim = points.shape[1]
         geometry = _geometry(eps, dim, rho)
-        for layout in LAYOUTS:
-            assert_backend_matches_numpy(points, geometry, layout, kernel)
+        for kind in DICTIONARIES:
+            assert_backend_matches_numpy(points, geometry, kind, kernel)
 
     @SETTINGS
     @given(

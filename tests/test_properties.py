@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.cells import CellGeometry, h_for_rho
-from repro.core.dictionary import CellDictionary
+from repro.core.dictionary import FlatCellDictionary
 from repro.core.partitioning import pseudo_random_partition
 from repro.core.region_query import RegionQueryEngine
 from repro.graph.union_find import UnionFind
@@ -97,14 +97,14 @@ class TestDictionaryProperties:
     @given(points=points_2d, rho=st.floats(0.01, 1.0))
     def test_density_conservation(self, points, rho):
         geometry = CellGeometry(0.7, 2, rho)
-        dictionary = CellDictionary.from_points(points, geometry)
+        dictionary = FlatCellDictionary.from_points(points, geometry)
         assert dictionary.num_points == points.shape[0]
 
     @SETTINGS
     @given(points=points_2d)
     def test_size_model_counts(self, points):
         geometry = CellGeometry(0.7, 2, 0.05)
-        dictionary = CellDictionary.from_points(points, geometry)
+        dictionary = FlatCellDictionary.from_points(points, geometry)
         model = dictionary.size_model()
         assert model.num_cells == dictionary.num_cells
         assert model.num_subcells == dictionary.num_subcells
@@ -117,7 +117,7 @@ class TestRegionQueryProperties:
     def test_sandwich_bound(self, points, eps, rho):
         # Lemma 5.2: B(1-rho/2)eps <= approx <= B(1+rho/2)eps.
         geometry = CellGeometry(eps, 2, rho)
-        dictionary = CellDictionary.from_points(points, geometry)
+        dictionary = FlatCellDictionary.from_points(points, geometry)
         engine = RegionQueryEngine(dictionary)
         query = points[0]
         approx, _ = engine.query_point(query)

@@ -9,11 +9,12 @@ merge path where a hand-written test once missed a tree-edge deletion
 bug (see TestAbsorbResolving in tests/core/test_merging.py).
 """
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.cell_graph import CellGraph, EdgeType
+from repro.core.cell_graph import CellGraph, EdgeType, FlatCellGraph
 from repro.core.merging import progressive_merge
 from repro.graph.spanning_forest import connected_components
 
@@ -47,7 +48,7 @@ def partitioned_subgraphs(draw):
         for _ in range(n_edges)
     ]
 
-    graphs = [CellGraph() for _ in range(k)]
+    graphs = [FlatCellGraph(n_cells) for _ in range(k)]
     for cell in range(n_cells):
         graph = graphs[owner[cell]]
         if is_core[cell]:
@@ -78,10 +79,11 @@ def canonical_partition(labels: dict) -> frozenset:
 
 
 def one_shot_reference(graphs):
-    """Union everything at once, then detect — no tournament."""
+    """Union everything at once in the reference :class:`CellGraph`,
+    then detect — no tournament."""
     total = CellGraph()
     for graph in graphs:
-        total.absorb(graph)
+        total.absorb(graph.to_cell_graph())
     total.detect_edge_types()
     return total
 
@@ -90,7 +92,7 @@ class TestTournamentProperties:
     @SETTINGS
     @given(graphs=partitioned_subgraphs())
     def test_components_match_one_shot_union(self, graphs):
-        reference = one_shot_reference([g.copy() for g in graphs])
+        reference = one_shot_reference(graphs)
         expected = connected_components(
             sorted(reference.core), reference.edges_of_type(EdgeType.FULL)
         )
@@ -110,7 +112,7 @@ class TestTournamentProperties:
     @SETTINGS
     @given(graphs=partitioned_subgraphs())
     def test_partial_edges_never_lost(self, graphs):
-        reference = one_shot_reference([g.copy() for g in graphs])
+        reference = one_shot_reference(graphs)
         merged, _ = progressive_merge(graphs)
         assert merged.edges_of_type(EdgeType.PARTIAL) == reference.edges_of_type(
             EdgeType.PARTIAL
@@ -126,10 +128,12 @@ class TestTournamentProperties:
     @SETTINGS
     @given(graphs=partitioned_subgraphs())
     def test_inputs_not_mutated(self, graphs):
-        snapshots = [dict(g.edges) for g in graphs]
+        columns = ("status", "src", "dst", "etype")
+        snapshots = [[getattr(g, c).copy() for c in columns] for g in graphs]
         progressive_merge(graphs)
         for graph, snapshot in zip(graphs, snapshots):
-            assert graph.edges == snapshot
+            for column, before in zip(columns, snapshot):
+                assert np.array_equal(getattr(graph, column), before)
 
     @SETTINGS
     @given(graphs=partitioned_subgraphs(), order_seed=st.integers(0, 100))

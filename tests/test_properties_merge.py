@@ -1,14 +1,12 @@
 """Property-based equivalence of the Phase III-1 merge plane.
 
-The ISSUE-level contract: labels, cluster counts, and the per-round
-``MergeStats`` accounting are **bit-identical** across every combination
-of ``merge_mode`` ({driver, engine, auto}) and ``graph_layout``
-({flat, dict}).  The driver-mode dict-layout run is the reference (the
-original single-path implementation); every other combination must
-reproduce it exactly — including the degenerate shapes the tournament
-must survive: one partition (no rounds), odd partition counts (bye
-rounds), more partitions than points (empty partitions), and all-noise
-data.
+The contract: labels, cluster counts, and the per-round ``MergeStats``
+accounting are **bit-identical** across every ``merge_mode`` ({driver,
+engine, auto}).  The driver-mode run is the reference; every other mode
+must reproduce it exactly — including the degenerate shapes the
+tournament must survive: one partition (no rounds), odd partition
+counts (bye rounds), more partitions than points (empty partitions),
+and all-noise data.
 """
 
 import numpy as np
@@ -25,15 +23,8 @@ SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-#: Every (merge_mode, graph_layout) combination other than the
-#: reference (driver, dict).
-VARIANTS = [
-    ("driver", "flat"),
-    ("engine", "dict"),
-    ("engine", "flat"),
-    ("auto", "dict"),
-    ("auto", "flat"),
-]
+#: Every merge mode other than the reference (driver).
+VARIANTS = ["engine", "auto"]
 
 
 def two_blob_points(seed: int, n: int) -> np.ndarray:
@@ -47,7 +38,7 @@ def two_blob_points(seed: int, n: int) -> np.ndarray:
     )
 
 
-def run(points, k, merge_mode, graph_layout, *, min_pts=5):
+def run(points, k, merge_mode, *, min_pts=5):
     with Engine("serial") as engine:
         model = RPDBSCAN(
             eps=0.5,
@@ -56,7 +47,6 @@ def run(points, k, merge_mode, graph_layout, *, min_pts=5):
             seed=0,
             engine=engine,
             merge_mode=merge_mode,
-            graph_layout=graph_layout,
         )
         return model.fit(points)
 
@@ -81,9 +71,9 @@ class TestMergePlaneEquivalence:
     )
     def test_every_variant_matches_reference(self, seed, n, k):
         points = two_blob_points(seed, n)
-        reference = run(points, k, "driver", "dict")
-        for merge_mode, graph_layout in VARIANTS:
-            result = run(points, k, merge_mode, graph_layout)
+        reference = run(points, k, "driver")
+        for merge_mode in VARIANTS:
+            result = run(points, k, merge_mode)
             assert_bit_identical(reference, result)
 
     @SETTINGS
@@ -91,11 +81,11 @@ class TestMergePlaneEquivalence:
     def test_single_partition_has_no_rounds(self, seed, n):
         # k=1: the tournament is a bye all the way down.
         points = two_blob_points(seed, n)
-        reference = run(points, 1, "driver", "dict")
+        reference = run(points, 1, "driver")
         assert reference.merge_stats.num_rounds == 0
-        for merge_mode, graph_layout in VARIANTS:
+        for merge_mode in VARIANTS:
             assert_bit_identical(
-                reference, run(points, 1, merge_mode, graph_layout)
+                reference, run(points, 1, merge_mode)
             )
 
     @SETTINGS
@@ -104,10 +94,10 @@ class TestMergePlaneEquivalence:
         # Odd partition counts force a bye in round one (and possibly
         # later); the carried-over graph must stay bit-equivalent.
         points = two_blob_points(seed, 120)
-        reference = run(points, k, "driver", "dict")
-        for merge_mode, graph_layout in VARIANTS:
+        reference = run(points, k, "driver")
+        for merge_mode in VARIANTS:
             assert_bit_identical(
-                reference, run(points, k, merge_mode, graph_layout)
+                reference, run(points, k, merge_mode)
             )
 
     @SETTINGS
@@ -116,10 +106,10 @@ class TestMergePlaneEquivalence:
         # Empty partitions emit empty subgraphs that still enter the
         # tournament bracket.
         points = two_blob_points(seed, 6)
-        reference = run(points, 10, "driver", "dict")
-        for merge_mode, graph_layout in VARIANTS:
+        reference = run(points, 10, "driver")
+        for merge_mode in VARIANTS:
             assert_bit_identical(
-                reference, run(points, 10, merge_mode, graph_layout)
+                reference, run(points, 10, merge_mode)
             )
 
     @SETTINGS
@@ -128,15 +118,13 @@ class TestMergePlaneEquivalence:
         # min_pts larger than the data set: no core cells anywhere, the
         # merged graph carries no FULL edges, everything labels -1.
         points = two_blob_points(seed, 40)
-        reference = run(points, k, "driver", "dict", min_pts=100)
+        reference = run(points, k, "driver", min_pts=100)
         assert reference.n_clusters == 0
         assert np.all(reference.labels == -1)
-        for merge_mode, graph_layout in VARIANTS:
-            result = run(points, k, merge_mode, graph_layout, min_pts=100)
+        for merge_mode in VARIANTS:
+            result = run(points, k, merge_mode, min_pts=100)
             assert_bit_identical(reference, result)
 
     def test_merge_mode_validation(self):
         with pytest.raises(ValueError, match="merge_mode"):
             RPDBSCAN(eps=0.5, min_pts=5, merge_mode="spark")
-        with pytest.raises(ValueError, match="graph_layout"):
-            RPDBSCAN(eps=0.5, min_pts=5, graph_layout="columnar")
