@@ -17,8 +17,9 @@ Two deployment-oriented features built on the paper's machinery:
    :class:`ClusterState`: save it to an ``RPST`` file, load it anywhere,
    serve batch label queries through :class:`ClusterModel` (DBSCAN's
    border rule: nearest core within eps, else noise), and ingest new
-   points incrementally — the refit recomputes only the dirty cells yet
-   leaves the state bit-identical to a from-scratch fit on everything.
+   points incrementally — the refit adds the new points' share to the
+   stored neighbor counts of the cells they reach yet leaves the state
+   bit-identical to a from-scratch fit on everything.
 3. **The serving plane** — the same state backs a network predict
    server (``rp-dbscan serve``): the model is hoisted into shared
    memory once, predictor workers attach zero-copy, and concurrent

@@ -674,41 +674,6 @@ class FlatCellGraph:
         self._pending = np.nonzero(self.etype == int(EdgeType.FULL))[0].tolist()
         return self.reduce_full_edges()
 
-    def remap_vertices(
-        self, rowmap: np.ndarray, n_slots: int
-    ) -> "FlatCellGraph":
-        """A copy of this graph living in a larger vertex universe.
-
-        ``rowmap`` maps every old slot to its new dense index (all
-        entries must be valid rows of the new universe and injective);
-        statuses, edges, pending positions, and the spanning forest are
-        carried over under the renaming.  Used by the incremental-ingest
-        splice: when new cells appear, the dictionary's lex order shifts
-        every row at or after an insertion point, and the retained graph
-        must follow.
-        """
-        rowmap = np.asarray(rowmap, dtype=np.int64)
-        if rowmap.shape != (self.n_slots,):
-            raise ValueError("rowmap must cover every old slot")
-        if rowmap.size and (rowmap.min() < 0 or rowmap.max() >= n_slots):
-            raise ValueError("rowmap points outside the new universe")
-        status = np.zeros(int(n_slots), dtype=np.int8)
-        status[rowmap] = self.status
-        src = rowmap[self.src].astype(np.int32)
-        dst = rowmap[self.dst].astype(np.int32)
-        # Rename the forest: a new-universe slot backed by an old slot
-        # keeps its (renamed) parent; fresh slots are their own roots.
-        parent = np.arange(int(n_slots), dtype=np.int64)
-        parent[rowmap] = rowmap[self._forest.to_array()]
-        return FlatCellGraph.from_arrays(
-            status,
-            src,
-            dst,
-            self.etype.copy(),
-            pending=list(self._pending),
-            forest=ArrayUnionFind.from_array(parent),
-        )
-
     # ------------------------------------------------------------------
     # Conversion to and from the reference CellGraph
     # ------------------------------------------------------------------

@@ -500,13 +500,16 @@ class RPDBSCAN:
             state, partitions, subgraph_results, dictionary, sharded, n
         )
         core_mask = np.zeros(n, dtype=bool)
+        counts = np.zeros(n, dtype=np.float64)
         for partition, subgraph in zip(
             partitions, subgraph_results, strict=True
         ):
             core_mask[partition.global_indices] = subgraph.core_mask
+            counts[partition.global_indices] = subgraph.counts
         if state is not None:
             state.labels = labels
             state.core_mask = core_mask
+            state.counts = counts
 
         # Out-of-core partitions may still hold their Phase III-2 blocks;
         # the run is over, so drop them before reporting.
@@ -629,8 +632,8 @@ class RPDBSCAN:
         """Phase II: per-partition core marking + cell subgraphs.
 
         Reads the broadcast context built by :meth:`_phase1`; the
-        per-point core flags it produces land on the state after
-        Phase III-2's scatter (the subgraph results are returned).
+        per-point counts and core flags it produces land on the state
+        after Phase III-2's scatter (the subgraph results are returned).
         """
         counters = self.engine.counters
         # The warm-up hook builds the region-query engine during worker
@@ -688,8 +691,8 @@ class RPDBSCAN:
         """Phase III: merge the subgraphs, then label every point.
 
         Writes the state's graph plane (``graph``, ``cell_labels``);
-        per-point ``labels``/``core_mask`` are committed by the caller
-        once the scatter completes.
+        per-point ``labels``/``core_mask``/``counts`` are committed by
+        the caller once the scatter completes.
         """
         counters = self.engine.counters
         tracer = self.engine.tracer

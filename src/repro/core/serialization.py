@@ -284,7 +284,8 @@ def deserialize_cell_graph(data: bytes) -> FlatCellGraph:
 # ----------------------------------------------------------------------
 
 _STATE_MAGIC = b"RPST"
-_STATE_VERSION = 1
+#: Version 2 added the per-point neighbor counts (the last array).
+_STATE_VERSION = 2
 # magic, version, eps, rho, dim, min_pts, num_tasks
 _STATE_HEADER = struct.Struct("<4sHddiii")
 
@@ -347,7 +348,8 @@ def serialize_cluster_state(state) -> bytes:
     of :func:`_write_array` — dictionary columns, graph columns
     (including the union-find forest and pending-edge worklist, so a
     loaded state resumes ingest exactly where the saved one would),
-    cell labels, and the per-point arrays.
+    cell labels, and the per-point arrays (points, cell rows, labels,
+    core flags, neighbor counts).
     """
     geometry = state.geometry
     out = io.BytesIO()
@@ -384,6 +386,7 @@ def serialize_cluster_state(state) -> bytes:
         state.point_cell_rows,
         state.labels,
         state.core_mask,
+        state.counts,
     ):
         _write_array(out, array)
     return out.getvalue()
@@ -399,19 +402,22 @@ def deserialize_cluster_state(data: bytes):
     if magic != _STATE_MAGIC:
         raise ValueError("not an RP-DBSCAN model-state stream")
     if version != _STATE_VERSION:
-        raise ValueError(f"unsupported RPST version {version}")
+        raise ValueError(
+            f"unsupported RPST version {version}; this build reads version "
+            f"{_STATE_VERSION} only (refit and save the model again)"
+        )
     offset = _STATE_HEADER.size
     kernel, offset = _read_str(data, offset)
     candidate_strategy, offset = _read_str(data, offset)
     merge_mode, offset = _read_str(data, offset)
     arrays = []
-    for _ in range(16):
+    for _ in range(17):
         array, offset = _read_array(data, offset)
         arrays.append(array)
     (
         cell_ids, cell_counts, offsets, sub_coords, sub_counts,
         status, src, dst, etype, pending, parent,
-        cell_labels, points, point_cell_rows, labels, core_mask,
+        cell_labels, points, point_cell_rows, labels, core_mask, counts,
     ) = arrays
     geometry = CellGeometry(eps, dim, rho)
     dictionary = FlatCellDictionary(
@@ -433,6 +439,7 @@ def deserialize_cluster_state(data: bytes):
         point_cell_rows=point_cell_rows,
         labels=labels,
         core_mask=core_mask,
+        counts=counts,
         kernel=kernel,
         candidate_strategy=candidate_strategy,
         merge_mode=merge_mode,

@@ -42,6 +42,8 @@ The kernel must reproduce the numpy backend's outputs *exactly*:
 * ``prange`` parallelism is over query points only; each point's
   accumulation is sequential and writes disjoint output elements, so
   results do not depend on thread count or schedule.
+* A point's accumulation starts from its entry in ``counts`` (zero, or
+  a seed count), as the numpy backend adds onto the same array.
 
 Array contracts the kernel assumes (DESIGN.md §11): ``pts`` ``(n, d)``
 float64 C-contiguous; per point ``pair_start``/``slot_start``/
@@ -97,7 +99,7 @@ def _make_sweep(prange):
     ):
         n, d = pts.shape
         for i in prange(n):
-            acc = 0.0
+            acc = counts[i]
             q0 = pair_start[i]
             s0 = slot_start[i]
             for j in range(slot_count[i]):

@@ -103,7 +103,8 @@ class _ServeState:
 
     epoch: int = 0
     queue_peak: int = 0
-    connections: int = 0
+    #: Open connections: each handler task and its stream writer.
+    clients: dict = field(default_factory=dict)
     ingest_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
 
 
@@ -206,6 +207,13 @@ class PredictServer:
     async def _teardown(self) -> None:
         if self._server is not None:
             self._server.close()
+            # Close every open connection, idle ones included, and let
+            # its handler return: a handler still pending when the loop
+            # exits would be cancelled there and logged as an error.
+            handlers = list(self._serve.clients)
+            for writer in self._serve.clients.values():
+                writer.close()
+            await asyncio.gather(*handlers, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         if self._batcher is not None:
@@ -228,7 +236,8 @@ class PredictServer:
         return await asyncio.wrap_future(self._pool.submit_predict(fused))
 
     async def _handle_client(self, reader, writer) -> None:
-        self._serve.connections += 1
+        task = asyncio.current_task()
+        self._serve.clients[task] = writer
         try:
             while True:
                 try:
@@ -266,7 +275,7 @@ class PredictServer:
                 except ConnectionError:
                     return
         finally:
-            self._serve.connections -= 1
+            del self._serve.clients[task]
             with contextlib.suppress(Exception):
                 writer.close()
 
@@ -274,26 +283,34 @@ class PredictServer:
         self.registry.counter(counter).inc()
         await write_frame(writer, MSG_ERROR, wire.encode_error(message))
 
-    async def _on_predict(self, writer, payload: bytes) -> None:
-        start = time.perf_counter()
+    async def _read_points(self, writer, payload: bytes, role: str):
+        """The request's point block, or ``None`` once it was rejected
+        (malformed, wrong dimension, or empty)."""
         try:
             points = wire.decode_points(payload)
         except wire.WireFormatError as exc:
             await self._reject(writer, str(exc), counter="serve.errors")
-            return
+            return None
         dim = self._state.geometry.dim
         if points.shape[1] != dim:
             await self._reject(
                 writer,
-                f"query points have dim {points.shape[1]}; the resident "
+                f"{role} points have dim {points.shape[1]}; the resident "
                 f"model expects {dim}",
                 counter="serve.errors",
             )
-            return
+            return None
         if points.shape[0] == 0:
             await self._reject(
                 writer, "empty point block", counter="serve.errors"
             )
+            return None
+        return points
+
+    async def _on_predict(self, writer, payload: bytes) -> None:
+        start = time.perf_counter()
+        points = await self._read_points(writer, payload, "query")
+        if points is None:
             return
         depth = self._batcher.pending_requests
         if depth >= self.config.max_pending:
@@ -323,19 +340,8 @@ class PredictServer:
         await write_frame(writer, MSG_LABELS, wire.encode_labels(epoch, labels))
 
     async def _on_ingest(self, writer, payload: bytes) -> None:
-        try:
-            points = wire.decode_points(payload)
-        except wire.WireFormatError as exc:
-            await self._reject(writer, str(exc), counter="serve.errors")
-            return
-        dim = self._state.geometry.dim
-        if points.shape[1] != dim:
-            await self._reject(
-                writer,
-                f"ingest points have dim {points.shape[1]}; the resident "
-                f"model expects {dim}",
-                counter="serve.errors",
-            )
+        points = await self._read_points(writer, payload, "ingest")
+        if points is None:
             return
         loop = asyncio.get_running_loop()
         start = time.perf_counter()
@@ -343,11 +349,8 @@ class PredictServer:
         # epoch the whole while — the swap below is the only sync point.
         async with self._serve.ingest_lock:
             try:
-                report = await loop.run_in_executor(
-                    None, self._state.ingest, points
-                )
-                model = ClusterModel.from_state(
-                    self._state, kernel=self.config.kernel
+                report, model = await loop.run_in_executor(
+                    None, self._refit, points
                 )
                 install = await loop.run_in_executor(
                     None, self._pool.install, model
@@ -379,6 +382,13 @@ class PredictServer:
         }
         await write_frame(writer, MSG_INGEST_ACK, wire.encode_obj(ack))
 
+    def _refit(self, points: np.ndarray):
+        """Ingest ``points`` and build the next serving model — both off
+        the event loop, so predicts in flight never wait on either."""
+        report = self._state.ingest(points)
+        model = ClusterModel.from_state(self._state, kernel=self.config.kernel)
+        return report, model
+
     async def _on_stats(self, writer) -> None:
         self.registry.gauge("serve.worker_respawns").set(
             self._pool.respawns if self._pool else 0
@@ -386,7 +396,7 @@ class PredictServer:
         stats = {
             "epoch": self._serve.epoch,
             "num_points": self._state.num_points,
-            "connections": self._serve.connections,
+            "connections": len(self._serve.clients),
             "batches_dispatched": (
                 self._batcher.batches_dispatched if self._batcher else 0
             ),

@@ -4,10 +4,10 @@ The reference checks every query point against every sub-cell center
 of every candidate cell with ``seq_squared_distances`` — no box
 classification, no batching, no pools.  The sweep must match it
 exactly on candidate rows, neighbor counts, per-point touch masks (the
-one-cell case) and touched slots folded at a count threshold, for
-every strategy and backend, including query points outside their
-group's cell, groups without points, single-point cells and empty
-sweeps.
+one-cell case) and touched slots folded at a count threshold, seeded
+or not, for every strategy and backend, including query points outside
+their group's cell, groups without points, single-point cells and empty
+sweeps.  The tight candidate boxes are pinned at the eps boundary.
 """
 
 import numpy as np
@@ -185,6 +185,108 @@ class TestSweepMatchesBruteForce:
             np.testing.assert_array_equal(
                 single.counts, result.counts[offsets[g] : offsets[g + 1]]
             )
+
+
+    @SETTINGS
+    @given(
+        case=sweep_cases(),
+        seed_values=st.lists(st.integers(0, 6), min_size=1, max_size=8),
+    )
+    @pytest.mark.parametrize("kernel", ["numpy", "python"])
+    def test_seeded_counts_add_and_fold_touch(self, case, seed_values, kernel):
+        dim, points, eps, rho, strategy, kinds, foreign, picks, budget, min_count = case
+        geometry = CellGeometry(eps, dim, rho)
+        dictionary = FlatCellDictionary.from_points(points, geometry)
+        engine = RegionQueryEngine(dictionary, strategy=strategy, kernel=kernel)
+        cell_ids, query, offsets, blocks = _groups(
+            points, geometry, kinds, foreign, picks
+        )
+        seeds = np.resize(np.asarray(seed_values, dtype=np.float64), query.shape[0])
+        seeded = _with_budget(
+            budget,
+            lambda: engine.query_partition(
+                cell_ids, query, offsets, min_count, seeds=seeds
+            ),
+        )
+        plain = engine.query_partition(cell_ids, query, offsets, min_count)
+        np.testing.assert_array_equal(seeded.counts, seeds + plain.counts)
+        np.testing.assert_array_equal(seeded.cand_rows, plain.cand_rows)
+        for g, block in enumerate(blocks):
+            _, counts, touch = brute_force_group(
+                dictionary, cell_ids[g], block, geometry
+            )
+            total = seeds[offsets[g] : offsets[g + 1]] + counts
+            lo, hi = seeded.cand_offsets[g], seeded.cand_offsets[g + 1]
+            # Touch folds against the seeded total, not the sweep's part.
+            np.testing.assert_array_equal(
+                seeded.touched[lo:hi], touch[total >= min_count].any(axis=0)
+            )
+
+    def test_seeds_must_align_with_points(self):
+        engine = TestSweepEdges()._engine()
+        with pytest.raises(ValueError, match="seeds"):
+            engine.query_partition(
+                np.zeros((1, 2), dtype=np.int64),
+                np.zeros((3, 2)),
+                np.array([0, 3], dtype=np.int64),
+                1.0,
+                seeds=np.zeros(2),
+            )
+
+
+class TestTightBoxes:
+    """A candidate's box is the bounds of its sub-cell centers.
+
+    In 4-d the cell side is ``eps / 2`` exactly, so with ``eps = 5`` and
+    ``rho = 0.5`` a lone point's sub-cell center is ``0.625`` on every
+    axis, and a query offset by ``(3, 4, 0, 0)`` from it sits at exactly
+    ``eps``.
+    """
+
+    EPS = 5.0
+
+    def _setup(self, kernel):
+        geometry = CellGeometry(self.EPS, 4, 0.5)
+        dictionary = FlatCellDictionary.from_points(
+            np.full((1, 4), 0.1), geometry
+        )
+        np.testing.assert_array_equal(
+            dictionary.sub_centers, np.full((1, 4), 0.625)
+        )
+        engine = RegionQueryEngine(dictionary, kernel=kernel)
+        return geometry, dictionary, engine
+
+    def _queries(self):
+        boundary = np.array([3.625, 4.625, 0.625, 0.625])
+        beyond = boundary.copy()
+        beyond[0] = np.nextafter(beyond[0], np.inf)
+        return np.stack([boundary, beyond])
+
+    @pytest.mark.parametrize("kernel", ["numpy", "python"])
+    def test_boundary_and_one_ulp_beyond(self, kernel):
+        geometry, dictionary, engine = self._setup(kernel)
+        queries = self._queries()
+        d2 = seq_squared_distances(queries, dictionary.sub_centers)[:, 0]
+        assert d2[0] == self.EPS**2 and d2[1] > self.EPS**2
+        cells = geometry.cell_ids(queries)
+        result = engine.query_partition(
+            cells, queries, np.arange(3, dtype=np.int64), 1.0
+        )
+        np.testing.assert_array_equal(result.counts, [1.0, 0.0])
+        # The lone point's cell is a candidate of both query cells; only
+        # the boundary query reaches it.
+        assert result.cand_rows.tolist() == [0, 0]
+        assert result.touched.tolist() == [True, False]
+
+    def test_one_subcell_candidate_is_never_partial(self):
+        _, _, engine = self._setup("numpy")
+        queries = self._queries()
+        rows = np.zeros(1, dtype=np.int64)
+        near, full = engine._classify_pairs(
+            queries, np.arange(2), rows, np.zeros(2, dtype=np.int64)
+        )
+        assert near.tolist() == [True, False]
+        np.testing.assert_array_equal(near, full)
 
 
 class TestSweepEdges:

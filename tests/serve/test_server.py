@@ -1,6 +1,7 @@
 """End-to-end predict server: TCP round trips, batching, ingest swap,
 admission control, stats, shutdown — all over the real socket path."""
 
+import logging
 import threading
 
 import numpy as np
@@ -178,6 +179,20 @@ class TestIngestSwap:
         np.testing.assert_array_equal(served, offline)
 
 
+    def test_empty_ingest_is_rejected_without_a_swap(self, mutable_state):
+        with running_server(mutable_state) as server:
+            with ServeClient(server.host, server.port) as client:
+                with pytest.raises(RequestRejected, match="empty point block"):
+                    client.ingest(np.empty((0, 2)))
+                # The connection survives; the resident model is the same.
+                client.predict(np.array([[0.0, 0.0]]))
+                assert client.last_epoch == 1
+                stats = client.stats()
+        assert stats["epoch"] == 1
+        assert stats["snapshot"].get("serve.ingests", 0) == 0
+        assert stats["snapshot"]["serve.errors"] == 1
+
+
 class TestStatsAndReport:
     def test_stats_snapshot_renders_as_serving_ledger(
         self, fitted_state, query_points
@@ -211,4 +226,23 @@ class TestShutdown:
             with ServeClient(server.host, server.port) as client:
                 client.shutdown()
             server._stopped  # context manager exit must not double-stop
+        assert live_segments() == []
+
+    def test_idle_connection_closes_cleanly(self, fitted_state, caplog):
+        # A client still connected at shutdown: its handler must return
+        # before the loop exits, not be cancelled there (which asyncio
+        # logs as "Exception in callback ... CancelledError").
+        with caplog.at_level(logging.DEBUG, logger="asyncio"):
+            with running_server(fitted_state) as server:
+                idle = ServeClient(server.host, server.port)
+                with ServeClient(server.host, server.port) as client:
+                    assert client.stats()["connections"] == 2
+                    client.shutdown()
+            try:
+                with pytest.raises(ConnectionError):
+                    idle.predict(np.array([[0.0, 0.0]]))
+            finally:
+                idle.close()
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == []
         assert live_segments() == []
