@@ -32,6 +32,7 @@ __all__ = [
     "build_labeling_context",
     "core_cell_labels",
     "label_partition",
+    "partial_predecessors",
     "NOISE",
 ]
 
@@ -106,6 +107,30 @@ def core_cell_labels(graph: FlatCellGraph) -> dict[int, int]:
     )
 
 
+def partial_predecessors(
+    graph: FlatCellGraph, cells: np.ndarray | None = None
+) -> tuple[dict[int, list[int]], np.ndarray]:
+    """The predecessor map of the labeling broadcast, and its sources.
+
+    Maps every partial-edge destination (only those among ``cells``
+    when given) to its partial-edge sources in ascending row order —
+    the deterministic tie-break of :func:`label_partition`.  Also
+    returns the ascending distinct sources: the cells whose core points
+    the broadcast must carry.
+    """
+    partial = np.flatnonzero(graph.etype == int(EdgeType.PARTIAL))
+    if cells is not None:
+        wanted = np.zeros(graph.n_slots, dtype=bool)
+        wanted[cells] = True
+        partial = partial[wanted[graph.dst[partial]]]
+    src, dst = graph.src[partial], graph.dst[partial]
+    order = np.lexsort((src, dst))
+    predecessors: dict[int, list[int]] = {}
+    for s, d in zip(src[order].tolist(), dst[order].tolist()):
+        predecessors.setdefault(d, []).append(s)
+    return predecessors, np.unique(src).astype(np.int64)
+
+
 def build_labeling_context(
     graph: FlatCellGraph,
     partitions: list[Partition],
@@ -130,17 +155,9 @@ def build_labeling_context(
         The dictionary whose rows are the graph's vertices.
     """
     cell_labels = core_cell_labels(graph)
-
-    predecessors: dict[int, list[int]] = {}
-    needed_sources: set[int] = set()
-    for src, dst in graph.edges_of_type(EdgeType.PARTIAL):
-        predecessors.setdefault(dst, []).append(src)
-        needed_sources.add(src)
-    for dst in predecessors:
-        predecessors[dst].sort()
+    predecessors, needed = partial_predecessors(graph)
 
     predecessor_core_points: dict[int, np.ndarray] = {}
-    needed = np.fromiter(needed_sources, dtype=np.int64, count=len(needed_sources))
     for partition in partitions:
         if not partition.cell_slices:
             continue
