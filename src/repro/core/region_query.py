@@ -71,11 +71,60 @@ from repro.kernels import warmup as warmup_kernels
 from repro.spatial.cell_index import NeighborCellFinder
 from repro.spatial.distance import seq_squared_distances
 
-__all__ = ["CellBatchQueryResult", "PartitionQueryResult", "RegionQueryEngine"]
+__all__ = [
+    "CellBatchQueryResult",
+    "PartitionQueryResult",
+    "RegionQueryEngine",
+    "box_d2_bounds",
+    "center_boxes",
+]
 
 #: Most (point, candidate) or (point, sub-cell) pairs one step of the
 #: sweep holds at once; bounds the sweep's pair arrays.
 PAIR_BUDGET = 1 << 16
+
+
+def center_boxes(
+    centers: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)``, each ``(d, C)`` (axis-major): the bounding box of
+    every CSR block ``centers[offsets[c]:offsets[c + 1]]``.  Every block
+    must be non-empty."""
+    starts = np.asarray(offsets, dtype=np.int64)[:-1]
+    return tuple(
+        np.ascontiguousarray(bound.reduceat(centers, starts, axis=0).T)
+        for bound in (np.minimum, np.maximum)
+    )
+
+
+def box_d2_bounds(
+    pts: np.ndarray,
+    pair_pt: np.ndarray,
+    box_lo: np.ndarray,
+    box_hi: np.ndarray,
+    pair_box: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(min_d2, max_d2)`` per (point, box) pair: the squared distances
+    from ``pts[pair_pt]`` to the nearest and the farthest point of box
+    ``pair_box`` (columns of the axis-major ``box_lo``/``box_hi``).
+
+    Summed one axis at a time, in the distance test's order, so no
+    temporary is ``(pairs, d)``.  Rounding is monotone, so the computed
+    squared distance of every point inside the box lies between the two
+    bounds: ``min_d2 > eps2`` proves none of them is within ``eps`` and
+    ``max_d2 <= eps2`` proves all of them are.
+    """
+    min_d2 = np.zeros(pair_pt.size, dtype=np.float64)
+    max_d2 = np.zeros(pair_pt.size, dtype=np.float64)
+    for k in range(pts.shape[1]):
+        coord = pts[pair_pt, k]
+        diff_lo = box_lo[k][pair_box] - coord
+        diff_hi = coord - box_hi[k][pair_box]
+        gap = np.maximum(np.maximum(diff_lo, diff_hi), 0.0)
+        min_d2 += gap * gap
+        corner = np.maximum(np.abs(diff_lo), np.abs(diff_hi))
+        max_d2 += corner * corner
+    return min_d2, max_d2
 
 
 def _partial_slots(
@@ -217,10 +266,7 @@ class RegionQueryEngine:
             )
             # Candidate boxes (axis-major): the bounds of each cell's
             # sub-cell centers.  Every cell owns at least one sub-cell.
-            self._boxes = tuple(
-                np.ascontiguousarray(bound.reduceat(centers, offsets[:-1], axis=0).T)
-                for bound in (np.minimum, np.maximum)
-            )
+            self._boxes = center_boxes(centers, offsets)
         else:
             self._csr_pool = None
             # Grid boxes, built per sweep step from the resident cell
@@ -417,22 +463,12 @@ class RegionQueryEngine:
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(near, full)`` per (point, candidate) pair: is the point's
         minimum / maximum distance to the box of candidate
-        ``rows[pair_row]`` within ``eps``?  Shared by every backend;
-        summed one axis at a time, in the distance test's order, so no
-        temporary is ``(pairs, d)`` and the verdicts are exact (see
-        the module docstring)."""
+        ``rows[pair_row]`` within ``eps``?  Shared by every backend, and
+        exact (:func:`box_d2_bounds`)."""
         eps2 = self.geometry.eps * self.geometry.eps
-        box_lo, box_hi = self._candidate_boxes(rows)
-        min_d2 = np.zeros(pair_pt.size, dtype=np.float64)
-        max_d2 = np.zeros(pair_pt.size, dtype=np.float64)
-        for k in range(self.geometry.dim):
-            coord = pts[pair_pt, k]
-            diff_lo = box_lo[k][pair_row] - coord
-            diff_hi = coord - box_hi[k][pair_row]
-            gap = np.maximum(np.maximum(diff_lo, diff_hi), 0.0)
-            min_d2 += gap * gap
-            corner = np.maximum(np.abs(diff_lo), np.abs(diff_hi))
-            max_d2 += corner * corner
+        min_d2, max_d2 = box_d2_bounds(
+            pts, pair_pt, *self._candidate_boxes(rows), pair_row
+        )
         return min_d2 <= eps2, max_d2 <= eps2
 
     def _candidate_boxes(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -116,10 +116,9 @@ class NeighborCellFinder:
         self.eps = float(eps)
         self.dim = self._ids.shape[1]
         if strategy == "auto":
-            reach = 1 + int(np.ceil(self.eps / self.side))
             strategy = (
                 "enumerate"
-                if (2 * reach + 1) ** self.dim <= MAX_ENUMERATED_OFFSETS
+                if (2 * self.reach + 1) ** self.dim <= MAX_ENUMERATED_OFFSETS
                 else "kdtree"
             )
         if strategy not in ("enumerate", "kdtree"):
@@ -143,9 +142,15 @@ class NeighborCellFinder:
         """The sorted ``(C, d)`` id array rows index into."""
         return self._ids
 
+    @property
+    def reach(self) -> int:
+        """Largest per-axis cell offset between a cell and any of its
+        candidates: a box gap within ``eps`` on one axis spans at most
+        ``1 + ceil(eps / side)`` cells, under either strategy."""
+        return 1 + int(np.ceil(self.eps / self.side))
+
     def _build_offsets(self) -> np.ndarray:
-        reach = int(np.ceil(self.eps / self.side))
-        offsets = neighbor_cell_offsets(self.dim, radius_cells=reach + 1)
+        offsets = neighbor_cell_offsets(self.dim, radius_cells=self.reach)
         gap = np.maximum(np.abs(offsets) - 1, 0).astype(np.float64) * self.side
         keep = np.einsum("ij,ij->i", gap, gap) <= self.eps**2 * (1 + 1e-12)
         kept = offsets[keep]

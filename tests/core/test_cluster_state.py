@@ -295,28 +295,50 @@ class TestIngestBitIdentity:
         assert_states_identical(state, _fit(pts).state)
 
 
+#: Radius of the ingest property's fits, and the step of its lattice.
+PROPERTY_EPS = 0.6
+LATTICE_STEP = PROPERTY_EPS / 4
+
+
 @st.composite
 def ingest_cases(draw):
-    """A random base fit and one to three batches of chosen kinds."""
-    dim = draw(st.sampled_from([2, 3, 13]))
+    """A random base fit and one to three batches of chosen kinds.
+
+    A ``lattice`` case draws its base and every batch from an 8-step
+    grid (1-13 points each, d <= 3): cells are shared and distances of
+    exactly eps are common, so a tiny dictionary's row numbers collide
+    often."""
+    lattice = draw(st.booleans())
+    dim = draw(st.sampled_from([1, 2, 3] if lattice else [2, 3, 13]))
     kernel = draw(st.sampled_from(["numpy", "python"]))
     rho = draw(st.sampled_from([0.01, 0.5]))
     seed = draw(st.integers(0, 2**32 - 1))
-    n_base = draw(st.integers(0, 60))
+    n_base = draw(st.integers(1, 13) if lattice else st.integers(0, 60))
     kinds = draw(
         st.lists(
-            st.sampled_from(["near", "duplicate", "far", "dense"]),
+            st.sampled_from(
+                ["lattice"] if lattice else ["near", "duplicate", "far", "dense"]
+            ),
             min_size=1,
             max_size=3,
         )
     )
-    sizes = draw(st.lists(st.integers(1, 20), min_size=3, max_size=3))
+    sizes = draw(
+        st.lists(st.integers(1, 13 if lattice else 20), min_size=3, max_size=3)
+    )
     return dim, kernel, rho, seed, n_base, list(zip(kinds, sizes))
 
 
 def _case_points(dim, seed, n_base, batches):
-    """Base points (two blobs and background) and the ingest batches."""
+    """Base points (two blobs and background, or lattice points) and the
+    ingest batches."""
     rng = np.random.default_rng(seed)
+    if batches[0][0] == "lattice":
+        base, *out = (
+            rng.integers(0, 8, (size, dim)) * LATTICE_STEP
+            for size in [n_base] + [size for _, size in batches]
+        )
+        return base, out
     centers = rng.uniform(0.0, 3.0, (2, dim))
 
     def around(n):
@@ -347,7 +369,7 @@ def _case_points(dim, seed, n_base, batches):
 
 class TestIngestProperty:
     @settings(
-        max_examples=60,
+        max_examples=200,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
@@ -358,7 +380,7 @@ class TestIngestProperty:
 
         def fit(pts):
             return RPDBSCAN(
-                0.6, 4, num_partitions=3, rho=rho, kernel=kernel
+                PROPERTY_EPS, 4, num_partitions=3, rho=rho, kernel=kernel
             ).fit(pts).state
 
         state = fit(base)
