@@ -1,26 +1,29 @@
 """The serving plane, measured: micro-batching under closed-loop load.
 
 Three phases against a real ``python -m repro.serve`` subprocess, all
-driven by :data:`N_CLIENTS` closed-loop client threads sending
-single-point predict requests (the serving-shaped workload: many tiny
-concurrent queries):
+driven by closed-loop client threads sending single-point predict
+requests (the serving-shaped workload: many tiny concurrent queries):
 
 1. **baseline** — the server configured request-at-a-time
-   (``--max-batch 1 --batch-window 0``): every request pays the full
-   frame + pipe + kernel overhead alone.
-2. **batched** — the same server with the micro-batcher on
-   (``--batch-window 2ms``): requests arriving together fuse into one
-   columnar dispatch.  Gates: throughput at least
+   (``--max-batch 1``): every request pays the full frame + pipe +
+   kernel overhead alone.
+2. **batched** — the same server with the micro-batcher on (the
+   default in-flight-depth dispatch): requests that arrive while the
+   worker is busy fuse into one columnar dispatch.  Gates at
+   :data:`N_CLIENTS` clients: throughput at least
    :data:`SERVE_SPEEDUP_MIN` over the baseline, client-measured
    p99 ≤ :data:`TAIL_RATIO_MAX` × p50, and every served label
-   bit-identical to offline ``ClusterModel.predict``.
+   bit-identical to offline ``ClusterModel.predict``.  Each of the two
+   servers then also serves :data:`FEW_CLIENTS` clients, the regime
+   where a gather timer only adds wait: batched throughput there must
+   reach :data:`FEW_CLIENTS_RATIO_MIN` × request-at-a-time.
 3. **swap under load** — mid-phase, one control connection ingests a
    far-away blob, atomically swapping the resident model to epoch 2
    while the load keeps running.  Gates: **zero** failed requests, the
    swap is observed mid-stream (both epochs answer), and every label
    matches the offline prediction of the epoch that answered it.
 
-The published table records both throughputs, the speedup, the latency
+The published table records the throughputs, the speedups, the latency
 quantiles, and the swap ledger.
 """
 
@@ -70,6 +73,11 @@ SWAP_PHASE_SECONDS = 10.0
 SERVE_SPEEDUP_MIN = 5.0
 #: Client-measured tail bound under steady batched load.
 TAIL_RATIO_MAX = 10.0
+#: Light load: too few clients to fill a batch.
+FEW_CLIENTS = 2
+#: At FEW_CLIENTS, batching must cost at most 20% of request-at-a-time
+#: throughput (a 1 ms gather window cost about half).
+FEW_CLIENTS_RATIO_MIN = 0.8
 
 _LABELS_PREFIX = struct.Struct(">QQ")
 
@@ -162,15 +170,15 @@ def _client_loop(port, frames, stop_at, seed, result):
         result.error = exc
 
 
-def _run_load(port, frames, seconds, *, mid_load=None):
-    """Drive N_CLIENTS closed-loop threads; returns results + elapsed."""
+def _run_load(port, frames, seconds, *, clients=N_CLIENTS, mid_load=None):
+    """Drive ``clients`` closed-loop threads; returns results + elapsed."""
     stop_at = time.perf_counter() + seconds
-    results = [_ClientResult() for _ in range(N_CLIENTS)]
+    results = [_ClientResult() for _ in range(clients)]
     threads = [
         threading.Thread(
             target=_client_loop, args=(port, frames, stop_at, i, results[i])
         )
-        for i in range(N_CLIENTS)
+        for i in range(clients)
     ]
     start = time.perf_counter()
     for t in threads:
@@ -208,34 +216,42 @@ def run_experiment(tmp_dir: Path):
     ]
 
     # ---- phase 1: request-at-a-time baseline --------------------------
-    proc, port = _start_server(
-        model_path, "--max-batch", "1", "--batch-window", "0"
-    )
+    proc, port = _start_server(model_path, "--max-batch", "1")
     try:
         base_results, base_elapsed = _run_load(port, frames, PHASE_SECONDS)
+        few_base_results, few_base_elapsed = _run_load(
+            port, frames, PHASE_SECONDS, clients=FEW_CLIENTS
+        )
     finally:
         _stop_server(proc, port)
     base_done = sum(len(r.records) for r in base_results)
-    base_errors = [r.error for r in base_results if r.error is not None]
+    few_base_done = sum(len(r.records) for r in few_base_results)
+    base_errors = [
+        r.error for r in base_results + few_base_results if r.error is not None
+    ]
 
     # ---- phase 2: micro-batched -------------------------------------
-    proc, port = _start_server(
-        model_path, "--max-batch", "1024", "--batch-window", "0.002"
-    )
+    proc, port = _start_server(model_path, "--max-batch", "1024")
     try:
         batch_results, batch_elapsed = _run_load(port, frames, PHASE_SECONDS)
+        few_batch_results, few_batch_elapsed = _run_load(
+            port, frames, PHASE_SECONDS, clients=FEW_CLIENTS
+        )
     finally:
         _stop_server(proc, port)
     batch_done = sum(len(r.records) for r in batch_results)
-    batch_errors = [r.error for r in batch_results if r.error is not None]
+    few_batch_done = sum(len(r.records) for r in few_batch_results)
+    batch_errors = [
+        r.error for r in batch_results + few_batch_results
+        if r.error is not None
+    ]
     latencies = np.concatenate(
         [np.asarray(r.latencies) for r in batch_results if r.latencies]
     )
 
     # ---- phase 3: model swap under load ------------------------------
     proc, port = _start_server(
-        model_path, "--max-batch", "1024", "--batch-window", "0.002",
-        "--workers", "2",
+        model_path, "--max-batch", "1024", "--workers", "2"
     )
     swap_ack = {}
 
@@ -256,11 +272,19 @@ def run_experiment(tmp_dir: Path):
         "base_done": base_done,
         "base_elapsed": base_elapsed,
         "base_errors": base_errors,
-        "base_records": [rec for r in base_results for rec in r.records],
+        "base_records": [
+            rec for r in base_results + few_base_results for rec in r.records
+        ],
         "batch_done": batch_done,
         "batch_elapsed": batch_elapsed,
         "batch_errors": batch_errors,
-        "batch_records": [rec for r in batch_results for rec in r.records],
+        "batch_records": [
+            rec for r in batch_results + few_batch_results for rec in r.records
+        ],
+        "few_base_done": few_base_done,
+        "few_base_elapsed": few_base_elapsed,
+        "few_batch_done": few_batch_done,
+        "few_batch_elapsed": few_batch_elapsed,
         "latencies": latencies,
         "swap_errors": swap_errors,
         "swap_records": swap_records,
@@ -287,6 +311,9 @@ def test_serve_plane(benchmark, tmp_path):
     base_rate = out["base_done"] / out["base_elapsed"]
     batch_rate = out["batch_done"] / out["batch_elapsed"]
     speedup = batch_rate / base_rate
+    few_base_rate = out["few_base_done"] / out["few_base_elapsed"]
+    few_batch_rate = out["few_batch_done"] / out["few_batch_elapsed"]
+    few_ratio = few_batch_rate / few_base_rate
     p50 = float(np.percentile(out["latencies"], 50))
     p99 = float(np.percentile(out["latencies"], 99))
     epochs_seen = sorted({epoch for _, epoch, _ in out["swap_records"]})
@@ -303,7 +330,7 @@ def test_serve_plane(benchmark, tmp_path):
                     f"{N_CLIENTS} closed-loop clients",
                 ],
                 [
-                    "micro-batched (2ms window)",
+                    "micro-batched (depth dispatch)",
                     f"{out['batch_done']:,}",
                     f"{batch_rate:,.0f} req/s",
                     f"{speedup:.1f}x baseline",
@@ -313,6 +340,18 @@ def test_serve_plane(benchmark, tmp_path):
                     f"p50 {format_duration(p50)}",
                     f"p99 {format_duration(p99)}",
                     f"tail ratio {p99 / p50:.1f}x",
+                ],
+                [
+                    f"request-at-a-time, {FEW_CLIENTS} clients",
+                    f"{out['few_base_done']:,}",
+                    f"{few_base_rate:,.0f} req/s",
+                    f"{FEW_CLIENTS} closed-loop clients",
+                ],
+                [
+                    f"micro-batched, {FEW_CLIENTS} clients",
+                    f"{out['few_batch_done']:,}",
+                    f"{few_batch_rate:,.0f} req/s",
+                    f"{few_ratio:.2f}x baseline",
                 ],
                 [
                     "swap under load",
@@ -351,7 +390,15 @@ def test_serve_plane(benchmark, tmp_path):
         f"p50 {p50 * 1e3:.1f}ms"
     )
 
-    # Gate 3: the ingest swap happened mid-load, atomically: zero failed
+    # Gate 3: with too few clients to fill a batch, batching must not
+    # hold requests back.
+    assert few_ratio >= FEW_CLIENTS_RATIO_MIN, (
+        f"batched {few_batch_rate:,.0f} req/s at {FEW_CLIENTS} clients is "
+        f"only {few_ratio:.2f}x request-at-a-time {few_base_rate:,.0f} "
+        f"req/s (gate: {FEW_CLIENTS_RATIO_MIN}x)"
+    )
+
+    # Gate 4: the ingest swap happened mid-load, atomically: zero failed
     # requests, both epochs answered, and every answer matches the
     # offline prediction of the model that served it.
     assert out["swap_errors"] == [], (

@@ -47,7 +47,7 @@ from repro.core import (
     serialize_dictionary,
 )
 from repro.data import openstreetmap_like
-from repro.serve import ServeClient, ServeConfig, running_server
+from repro.serve import ServeClient, running_server
 
 
 def main() -> None:
@@ -110,11 +110,11 @@ def main() -> None:
     # --- 4. The serving plane ----------------------------------------
     # ``running_server`` is the in-process twin of ``rp-dbscan serve``:
     # it hoists the model into a shared-memory segment, forks predictor
-    # workers that attach zero-copy, and micro-batches concurrent
-    # requests.  The client speaks the same length-prefixed frames the
-    # distributed engine uses.
+    # workers that attach zero-copy, and fuses requests that arrive
+    # while the workers are busy.  The client speaks the same
+    # length-prefixed frames the distributed engine uses.
     probe = openstreetmap_like(256, seed=7)
-    with running_server(state, ServeConfig(batch_window_s=0.002)) as server:
+    with running_server(state) as server:
         with ServeClient("127.0.0.1", server.port) as client:
             served = client.predict(probe)
             stats = client.stats()

@@ -7,8 +7,9 @@ shared memory, micro-batching concurrent requests
 (:class:`~repro.serve.batcher.MicroBatcher`) into fused columnar
 dispatches against a pool of predictor processes
 (:class:`~repro.serve.pool.PredictorPool`) that attach the model
-zero-copy.  ``ingest`` swaps the resident model atomically under an
-epoch tag while predicts keep flowing.
+zero-copy.  ``ingest`` refits in a process of its own and swaps the
+resident model atomically under an epoch tag while predicts keep
+flowing.
 
 Entry points: ``python -m repro.serve`` / ``rp-dbscan serve`` for the
 daemon, :class:`~repro.serve.client.ServeClient` for callers, and

@@ -42,10 +42,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         help="predictor worker processes attaching the shm model",
     )
     parser.add_argument(
-        "--batch-window", type=float, default=0.001, metavar="SECONDS",
-        help="micro-batch gather window (0 = request-at-a-time)",
-    )
-    parser.add_argument(
         "--max-batch", type=int, default=256,
         help="fused-point cap per dispatch (1 = no batching)",
     )
@@ -79,7 +75,6 @@ async def _run(args: argparse.Namespace) -> PredictServer:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        batch_window_s=args.batch_window,
         max_batch=args.max_batch,
         max_pending=args.max_queue,
         kernel=args.kernel,

@@ -10,7 +10,8 @@ payloads the codecs of :mod:`repro.serve.wire`.
 A serving ``MSG_ERROR`` raises :class:`RequestRejected` and leaves the
 connection usable — rejection (admission control, shape mismatch) is a
 per-request outcome, so a load generator catches it and retries without
-reconnecting.
+reconnecting.  Nothing read from the socket is unpickled: a control
+reply that is not JSON raises :class:`~repro.serve.wire.WireFormatError`.
 """
 
 from __future__ import annotations

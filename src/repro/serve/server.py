@@ -5,8 +5,8 @@ fitted :class:`~repro.core.cluster_state.ClusterState`, hoists the
 derived :class:`~repro.core.prediction.ClusterModel` into shared memory
 through a :class:`~repro.serve.pool.PredictorPool` (the model exists
 once in physical memory no matter how many predictor processes attach),
-and answers ``MSG_PREDICT`` frames by gathering concurrent requests in
-a :class:`~repro.serve.batcher.MicroBatcher` and dispatching them as
+and answers ``MSG_PREDICT`` frames by handing them to a
+:class:`~repro.serve.batcher.MicroBatcher`, which dispatches them as
 fused columnar batches with per-request scatter-back.
 
 Design points, in the order a request meets them:
@@ -20,35 +20,50 @@ Design points, in the order a request meets them:
   ``max_pending`` in-flight requests with an immediate ``MSG_ERROR``
   rejection instead of queueing unbounded latency; a serving error is
   per-request, the connection survives.
-* **Micro-batching** — ``batch_window_s`` / ``max_batch`` as in
-  :class:`MicroBatcher`; ``max_batch=1`` degenerates to
-  request-at-a-time (the measured baseline).
+* **Micro-batching** — in-flight-depth dispatch as in
+  :class:`MicroBatcher`, with a depth of
+  :data:`~repro.serve.batcher.BATCHES_PER_WORKER` batches per worker:
+  a request dispatches at once while a worker slot is free, and
+  requests arriving meanwhile leave as one batch when a slot frees.
+  ``max_batch=1`` degenerates to request-at-a-time (the measured
+  baseline).
 * **Warm start** — the pool install runs
   :meth:`ClusterModel.warmup` in every worker (JIT compile + candidate
   tables) before the socket opens, billed to
   ``setup_seconds.serve_install`` / ``serve_warmup`` — the first
   request never pays compile cost.
-* **Serve-while-ingest** — ``MSG_INGEST`` appends points through
-  :meth:`ClusterState.ingest` (incremental refit) and atomically swaps
-  the resident model under a bumped epoch tag; predicts in flight keep
-  answering from the old epoch until the swap lands (DBSCAN++'s
-  sampled-core analysis bounds the staleness window — see ISSUE/PAPERS
-  discussion), and label replies carry the answering epoch so clients
-  can observe the swap.
+* **Serve-while-ingest** — the refit runs in a process of its own.
+  :meth:`PredictServer.start` forks it first, before the pool and the
+  socket exist, so it inherits the state and nothing else; from then on
+  it owns the state and the caller's object is never modified.
+  ``MSG_INGEST`` sends the point block down its pipe; the process runs
+  :meth:`ClusterState.ingest` (incremental refit) and builds the next
+  model, and the server installs that model under a bumped epoch tag
+  while an executor thread waits on the pipe with the GIL released —
+  predicts keep the event loop and the interpreter to themselves, and
+  answer from the old epoch until the swap lands.  Label replies carry
+  the answering epoch so clients can observe the swap.  A block the
+  refit refuses leaves its state as it was (``ingest`` commits last)
+  and gets ``MSG_ERROR``; if the process dies, that ingest and every
+  later one are refused naming the loss, and predicts keep answering
+  on the last installed epoch.
 * **Observability** — latency histograms, queue-depth gauges, the
   batch-size distribution, and install/warm-up setup counters in a
   :class:`~repro.obs.metrics.MetricsRegistry`, rendered by
-  :func:`repro.obs.report.render_serving_report` and served raw over
-  ``MSG_STATS``.
+  :func:`repro.obs.report.render_serving_report` and served as JSON
+  over ``MSG_STATS``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import os
+import signal
 import threading
 import time
 from dataclasses import dataclass, field
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -72,7 +87,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.serve import wire
-from repro.serve.batcher import MicroBatcher
+from repro.serve.batcher import BATCHES_PER_WORKER, MicroBatcher
 from repro.serve.pool import PredictorPool
 
 __all__ = ["ServeConfig", "PredictServer", "running_server"]
@@ -87,8 +102,6 @@ class ServeConfig:
     port: int = 0
     #: Predictor worker processes attaching the shm-resident model.
     workers: int = 1
-    #: Micro-batch gather window in seconds (``0`` = dispatch per request).
-    batch_window_s: float = 0.001
     #: Fused-point cap per dispatch (``1`` = request-at-a-time baseline).
     max_batch: int = 256
     #: Admission bound: in-flight requests beyond this are rejected.
@@ -102,10 +115,86 @@ class _ServeState:
     """Mutable serving-side bookkeeping grouped for readability."""
 
     epoch: int = 0
+    #: Points in the refit process's state after the last ingest.
+    num_points: int = 0
     queue_peak: int = 0
     #: Open connections: each handler task and its stream writer.
     clients: dict = field(default_factory=dict)
     ingest_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
+
+
+def _refit_main(conn, server_end, state, kernel: str) -> None:
+    """Refit process loop: ingest each point block into ``state`` and
+    reply with the report, the next serving model and the point count.
+
+    ``ingest`` commits last, so a block it refuses leaves ``state`` as
+    it was.  The loop ends when the server closes its end of the pipe.
+    """
+    # A forked child holds a copy of the server's end too; the EOF
+    # that ends this loop comes only once that copy is closed.
+    server_end.close()
+    # The server owns shutdown; a terminal's Ctrl-C reaches this
+    # process too and must not kill it mid-refit with a traceback.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            points = conn.recv()
+        except EOFError:
+            return
+        try:
+            report = state.ingest(points)
+            model = ClusterModel.from_state(state, kernel=kernel)
+            reply = ("ok", report, model, state.num_points)
+        except Exception as exc:
+            reply = ("error", f"{type(exc).__name__}: {exc}")
+        conn.send(reply)
+
+
+class _RefitProcess:
+    """The process that owns the ingest state, and its pipe."""
+
+    def __init__(self, state, kernel: str) -> None:
+        ctx = get_context("fork" if os.name == "posix" else "spawn")
+        self._conn, child = ctx.Pipe()
+        self._process = ctx.Process(
+            target=_refit_main,
+            args=(child, self._conn, state, kernel),
+            name="serve-refit",
+            daemon=True,
+        )
+        self._process.start()
+        child.close()
+        self.pid = self._process.pid
+        #: Why ingest is unavailable, once the process is gone.
+        self._lost: str | None = None
+
+    def refit(self, points: np.ndarray):
+        """Ingest ``points`` over there; blocks on the pipe (GIL
+        released) and returns ``(report, model, num_points)``."""
+        if self._lost is not None:
+            raise RuntimeError(self._lost)
+        try:
+            self._conn.send(points)
+            reply = self._conn.recv()
+        except (EOFError, OSError):
+            self._process.join(timeout=5.0)
+            self._lost = (
+                f"refit process {self.pid} lost (exit code "
+                f"{self._process.exitcode}); predicts keep the last "
+                "installed model"
+            )
+            raise RuntimeError(self._lost) from None
+        if reply[0] == "error":
+            raise RuntimeError(reply[1])
+        return reply[1:]
+
+    def close(self) -> None:
+        """Close the pipe (the process's signal to exit) and join it."""
+        self._conn.close()
+        self._process.join(timeout=10.0)
+        if self._process.is_alive():
+            self._process.terminate()
+            self._process.join(timeout=5.0)
 
 
 class PredictServer:
@@ -115,7 +204,8 @@ class PredictServer:
     ----------
     state:
         The fitted model plane; :meth:`start` derives the serving view
-        and owns it from then on (``ingest`` mutates this state).
+        and forks the refit process, which ingests into its own copy —
+        this object is never modified.
     config:
         :class:`ServeConfig`; defaults serve a 1-worker micro-batching
         endpoint on an OS-assigned port.
@@ -134,6 +224,7 @@ class PredictServer:
         self.config = config or ServeConfig()
         self.registry = registry or MetricsRegistry()
         self._serve = _ServeState()
+        self._refit: _RefitProcess | None = None
         self._pool: PredictorPool | None = None
         self._batcher: MicroBatcher | None = None
         self._server: asyncio.AbstractServer | None = None
@@ -145,6 +236,7 @@ class PredictServer:
         self._batch_hist = self.registry.histogram(
             "serve.batch_points", SERVE_BATCH_BUCKETS
         )
+        self._queue_depth = self.registry.gauge("serve.queue_depth")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -167,9 +259,14 @@ class PredictServer:
         return self._serve.epoch
 
     async def start(self) -> None:
-        """Install the model shm-resident, warm it, open the socket."""
+        """Fork the refit process, install the model shm-resident, warm
+        it, open the socket."""
         cfg = self.config
         loop = asyncio.get_running_loop()
+        # First: the refit process must inherit neither a pool pipe nor
+        # the listening socket.
+        self._refit = _RefitProcess(self._state, cfg.kernel)
+        self._serve.num_points = self._state.num_points
         model = ClusterModel.from_state(self._state, kernel=cfg.kernel)
         self._pool = PredictorPool(cfg.workers)
         install = await loop.run_in_executor(None, self._pool.install, model)
@@ -183,7 +280,7 @@ class PredictServer:
         )
         self._batcher = MicroBatcher(
             self._dispatch,
-            window_s=cfg.batch_window_s,
+            depth=BATCHES_PER_WORKER * cfg.workers,
             max_batch=cfg.max_batch,
             on_batch=lambda n_req, n_pts: self._batch_hist.observe(n_pts),
         )
@@ -192,7 +289,8 @@ class PredictServer:
         )
 
     async def stop(self) -> None:
-        """Close the socket, drain in-flight work, stop the pool.
+        """Close the socket, drain in-flight work, stop the pool and the
+        refit process.
 
         Every caller (a ``MSG_SHUTDOWN`` frame, the harness's exit)
         awaits one shared teardown, and the server reads as stopped only
@@ -218,9 +316,16 @@ class PredictServer:
             self._server = None
         if self._batcher is not None:
             await self._batcher.drain()
+        loop = asyncio.get_running_loop()
         if self._pool is not None:
             pool, self._pool = self._pool, None
-            await asyncio.get_running_loop().run_in_executor(None, pool.close)
+            await loop.run_in_executor(None, pool.close)
+        if self._refit is not None:
+            # After the pool: its workers were forked holding the
+            # server's end of the refit pipe, and the process sees EOF
+            # only once every copy is closed.
+            refit, self._refit = self._refit, None
+            await loop.run_in_executor(None, refit.close)
         self._stopped.set()
 
     async def serve_until_stopped(self) -> None:
@@ -323,15 +428,21 @@ class PredictServer:
                 counter="serve.rejected",
             )
             return
-        self.registry.gauge("serve.queue_depth").set(depth + 1)
+        self._queue_depth.set(depth + 1)
         if depth + 1 > self._serve.queue_peak:
             self._serve.queue_peak = depth + 1
             self.registry.gauge("serve.queue_depth_peak").set(depth + 1)
         try:
             epoch, labels = await self._batcher.submit(points)
         except Exception as exc:
+            failure: Exception | None = exc
+        else:
+            failure = None
+        # The request has left the batcher: the gauge reads what is left.
+        self._queue_depth.set(self._batcher.pending_requests)
+        if failure is not None:
             await self._reject(
-                writer, f"predict failed: {exc}", counter="serve.errors"
+                writer, f"predict failed: {failure}", counter="serve.errors"
             )
             return
         self._latency.observe(time.perf_counter() - start)
@@ -349,8 +460,8 @@ class PredictServer:
         # epoch the whole while — the swap below is the only sync point.
         async with self._serve.ingest_lock:
             try:
-                report, model = await loop.run_in_executor(
-                    None, self._refit, points
+                report, model, num_points = await loop.run_in_executor(
+                    None, self._refit.refit, points
                 )
                 install = await loop.run_in_executor(
                     None, self._pool.install, model
@@ -361,6 +472,7 @@ class PredictServer:
                 )
                 return
             self._serve.epoch = install.epoch
+            self._serve.num_points = num_points
         self.registry.counter("serve.ingests").inc()
         self.registry.gauge("serve.epoch").set(install.epoch)
         self.registry.counter("setup_seconds.serve_ingest").inc(
@@ -370,24 +482,17 @@ class PredictServer:
             install.warmup_seconds
         )
         ack = {
-            "epoch": install.epoch,
-            "num_new_points": report.num_new_points,
-            "cells_total": report.cells_total,
-            "cells_dirty": report.cells_dirty,
-            "cells_new": report.cells_new,
-            "n_clusters": report.n_clusters,
-            "ingest_seconds": report.total_seconds,
-            "install_seconds": install.seconds,
-            "warmup_seconds": install.warmup_seconds,
+            "epoch": int(install.epoch),
+            "num_new_points": int(report.num_new_points),
+            "cells_total": int(report.cells_total),
+            "cells_dirty": int(report.cells_dirty),
+            "cells_new": int(report.cells_new),
+            "n_clusters": int(report.n_clusters),
+            "ingest_seconds": float(report.total_seconds),
+            "install_seconds": float(install.seconds),
+            "warmup_seconds": float(install.warmup_seconds),
         }
         await write_frame(writer, MSG_INGEST_ACK, wire.encode_obj(ack))
-
-    def _refit(self, points: np.ndarray):
-        """Ingest ``points`` and build the next serving model — both off
-        the event loop, so predicts in flight never wait on either."""
-        report = self._state.ingest(points)
-        model = ClusterModel.from_state(self._state, kernel=self.config.kernel)
-        return report, model
 
     async def _on_stats(self, writer) -> None:
         self.registry.gauge("serve.worker_respawns").set(
@@ -395,14 +500,13 @@ class PredictServer:
         )
         stats = {
             "epoch": self._serve.epoch,
-            "num_points": self._state.num_points,
+            "num_points": self._serve.num_points,
             "connections": len(self._serve.clients),
             "batches_dispatched": (
                 self._batcher.batches_dispatched if self._batcher else 0
             ),
             "config": {
                 "workers": self.config.workers,
-                "batch_window_s": self.config.batch_window_s,
                 "max_batch": self.config.max_batch,
                 "max_pending": self.config.max_pending,
                 "kernel": self.config.kernel,
@@ -419,7 +523,9 @@ def running_server(state, config: ServeConfig | None = None):
     The in-process harness tests, the example, and the bench baseline
     use: spins one daemon thread running the server's loop, yields the
     server once its socket is bound (``server.port`` is resolved), and
-    tears everything down — pool, segment, loop — on exit.
+    tears everything down — pool, segment, refit process, loop — on
+    exit.  Ingests land in the refit process's copy of ``state``; the
+    caller's object is never modified.
     """
     server = PredictServer(state, config)
     started = threading.Event()

@@ -17,7 +17,9 @@ four serving message types:
 ``MSG_INGEST``
     The same point block as ``MSG_PREDICT``.
 ``MSG_INGEST_ACK`` / ``MSG_STATS_ACK``
-    Pickled dicts — control-plane traffic, rare by construction.
+    UTF-8 JSON objects — control-plane traffic, rare by construction.
+    JSON, never pickle: unpickling a reply would let whatever answers
+    on the port run code in the client.
 ``MSG_ERROR``
     A UTF-8 reason string.  On a serving connection an error is a
     *per-request* rejection (overload, shape mismatch); the connection
@@ -29,7 +31,7 @@ rather than native so a frame means the same thing on any peer.
 
 from __future__ import annotations
 
-import pickle
+import json
 import struct
 from typing import Any
 
@@ -138,10 +140,14 @@ def decode_error(payload: bytes) -> str:
 
 
 def encode_obj(obj: Any) -> bytes:
-    """Pickle a control-plane payload (ingest acks, stats snapshots)."""
-    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    """Serialize a control-plane payload (ingest acks, stats snapshots)
+    as JSON; numpy scalars must be cast to Python numbers first."""
+    return json.dumps(obj).encode("utf-8")
 
 
 def decode_obj(payload: bytes) -> Any:
-    """Unpickle a control-plane payload."""
-    return pickle.loads(payload)
+    """Parse a control-plane JSON payload."""
+    try:
+        return json.loads(payload.decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise WireFormatError(f"control payload is not JSON: {exc}") from None
