@@ -2,12 +2,13 @@
 
 Beyond the paper: Spark gave the authors task retries, straggler
 re-execution, and executor replacement for free; this bench quantifies
-what the repo's driver-side recovery loop costs and what recovering from
-injected faults costs, on one workload across four regimes:
+what a fault policy costs in the repo's driver-side dispatch loop (which
+every ``map_tasks`` call runs) and what recovering from injected faults
+costs, on one workload across four regimes:
 
-* **baseline** — the plain process engine, no fault policy (the
-  zero-overhead fast path).
-* **policy-calm** — the recovery loop enabled but no faults injected:
+* **baseline** — the plain process engine, no fault policy: the loop
+  with no retries, re-spawns, speculation, or timeouts.
+* **policy-calm** — a retry/speculation policy but no faults injected:
   its pure bookkeeping overhead, which should be small.
 * **exception-chaos** — a seeded injector raises in >= 1 attempt-0 task
   per fit; recovery is retry + backoff.

@@ -98,7 +98,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _fault_policy_from_args(args: argparse.Namespace) -> FaultPolicy | None:
-    """Build the opt-in fault policy the CLI flags describe (or None)."""
+    """Build the fault policy the CLI flags describe (or None)."""
     injector = None
     node_chaos = (
         getattr(args, "chaos_node_crash", 0.0)
@@ -465,16 +465,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-retries",
         type=int,
         default=None,
-        help="per-task retry budget (enables the fault-tolerant recovery loop)",
+        help="per-task retry budget (sets a fault policy; default: no retries)",
     )
     engine_group.add_argument(
         "--task-timeout",
         type=float,
         default=None,
-        help="per-task timeout in seconds (enables the recovery loop)",
+        help="per-task timeout in seconds (sets a fault policy)",
     )
     chaos_group = cluster.add_argument_group(
-        "chaos testing (seeded fault injection; implies the recovery loop)"
+        "chaos testing (seeded fault injection; implies a fault policy)"
     )
     chaos_group.add_argument(
         "--chaos-crash", type=float, default=0.0,

@@ -635,7 +635,6 @@ class RPDBSCAN:
         per-point counts and core flags it produces land on the state
         after Phase III-2's scatter (the subgraph results are returned).
         """
-        counters = self.engine.counters
         # The warm-up hook builds the region-query engine during worker
         # initialization (or once on the driver in serial mode), under
         # the engine.setup bucket: every mode pays index construction
@@ -643,7 +642,6 @@ class RPDBSCAN:
         # With a sharded broadcast, each task also carries the driver's
         # Lemma 5.10 reachable-shard hint: the worker may only attach
         # shards within eps of the partition's cells.
-        counters.registry.counter(f"phase2.kernel.{self.kernel}").inc()
         shard_hints: list[tuple[int, ...] | None] = [None] * len(partitions)
         if sharded is not None:
             for i, partition in enumerate(partitions):
@@ -675,14 +673,6 @@ class RPDBSCAN:
                     for pid, stats in self.engine.collect_broadcast_stats()
                 ],
             }
-            peak = max(
-                [w["peak_resident_bytes"] for w in broadcast_residency["workers"]]
-                + [broadcast_residency["driver"]["peak_resident_bytes"]]
-            )
-            registry = counters.registry
-            registry.gauge("broadcast.shards").set(sharded.num_shards)
-            registry.gauge("broadcast.budget_bytes").set(self.broadcast_budget)
-            registry.gauge("broadcast.peak_resident_bytes").set(peak)
         return subgraph_results, broadcast_residency
 
     def _phase3(

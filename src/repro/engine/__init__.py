@@ -29,11 +29,13 @@ provided by a small engine with two executors:
   rescheduled on survivors, and a reconnecting node is re-equipped with
   the current broadcast before receiving work again.
 
-Fault tolerance is opt-in: construct the engine with a
-:class:`~repro.engine.faults.FaultPolicy` to get per-task retries with
-exponential backoff, task/phase timeouts, automatic pool re-spawn after
-a worker crash (broadcasts re-shipped under a fresh epoch), and
-straggler speculation — the safety net Spark gives the paper for free.
+Every ``map_tasks`` call, in every mode, runs one driver-side dispatch
+loop.  A :class:`~repro.engine.faults.FaultPolicy` sets what it may
+recover: per-task retries with exponential backoff, task/phase
+timeouts, automatic pool re-spawn after a worker crash (broadcasts
+re-shipped under a fresh epoch), and straggler speculation — the safety
+net Spark gives the paper for free.  Without a policy a failing task
+re-raises its own exception and a lost worker or node fails the phase.
 A seeded :class:`~repro.engine.faults.FaultInjector` on the policy turns
 any executor into a chaos harness for testing that recovery machinery.
 

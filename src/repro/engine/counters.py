@@ -26,15 +26,10 @@ Two accounting rules keep the figures honest:
   :meth:`Counters.total_seconds`: a chaos run reports the same phase
   fractions as a calm one, plus an event ledger on the side.
 
-Since the observability subsystem landed, :class:`Counters` is a
-**compatibility shim** over a
-:class:`~repro.obs.metrics.MetricsRegistry`: every write to the legacy
-dict buckets is mirrored into :attr:`Counters.registry` under stable
-metric names (``phase_seconds.<p>``, ``setup_seconds.<c>``,
-``fault_events.<k>``, ``items.<p>`` counters and a
-``task_seconds.<p>`` histogram per phase).  Existing consumers keep
-reading the dicts and see identical values; new tooling reads the
-registry.
+These are run records, not metrics: per-task rows with worker ids, the
+merge-round ledger, and :meth:`Counters.mark` / :meth:`Counters.since`
+deltas.  Live metrics of the serving plane and the tracer's optional
+attempt histograms live in :class:`~repro.obs.metrics.MetricsRegistry`.
 """
 
 from __future__ import annotations
@@ -42,8 +37,6 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-
-from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["TaskStats", "Counters", "CountersMark", "DRIVER_WORKER"]
 
@@ -117,37 +110,28 @@ class Counters:
     #: Like the fault ledger these rows never enter :meth:`breakdown` —
     #: round wall time already lands in the Phase III-1 bucket.
     merge_rounds: list[dict] = field(default_factory=list)
-    #: The metrics registry this shim mirrors into (see the module
-    #: docstring for the bucket → metric name mapping).
-    registry: MetricsRegistry = field(default_factory=MetricsRegistry, repr=False)
 
     def record_task(self, phase: str, stats: TaskStats) -> None:
         """Append one task's stats under ``phase``."""
         self.phase_tasks.setdefault(phase, []).append(stats)
-        self.registry.counter(f"items.{phase}").inc(stats.items)
-        self.registry.histogram(f"task_seconds.{phase}").observe(stats.wall_time_s)
 
     def add_phase_time(self, phase: str, seconds: float) -> None:
         """Accumulate ``seconds`` of elapsed time under ``phase``."""
         self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + seconds
-        self.registry.counter(f"phase_seconds.{phase}").inc(max(seconds, 0.0))
 
     def add_setup_time(self, category: str, seconds: float) -> None:
         """Accumulate engine-setup ``seconds`` under ``category``."""
         self.setup_seconds[category] = (
             self.setup_seconds.get(category, 0.0) + seconds
         )
-        self.registry.counter(f"setup_seconds.{category}").inc(max(seconds, 0.0))
 
     def add_fault_event(self, kind: str, count: int = 1) -> None:
         """Count ``count`` fault-recovery events of ``kind``."""
         self.fault_events[kind] = self.fault_events.get(kind, 0) + count
-        self.registry.counter(f"fault_events.{kind}").inc(count)
 
     def add_broadcast_bytes(self, channel: str, nbytes: int) -> None:
         """Account ``nbytes`` of broadcast payload under ``channel``."""
         self.broadcast_bytes[channel] = self.broadcast_bytes.get(channel, 0) + nbytes
-        self.registry.counter(f"broadcast_bytes.{channel}").inc(nbytes)
 
     def broadcast_total_bytes(self) -> int:
         """Total broadcast bytes across every channel."""
@@ -165,10 +149,6 @@ class Counters:
                 "wall_s": wall_s,
             }
         )
-        self.registry.counter("merge.rounds").inc(1)
-        self.registry.counter("merge.edges_resolved").inc(resolved)
-        self.registry.counter("merge.edges_removed").inc(removed)
-        self.registry.counter("merge.bytes_shipped").inc(bytes_shipped)
 
     def fault_event_count(self, kind: str) -> int:
         """Number of fault-recovery events recorded under ``kind``."""
@@ -287,8 +267,6 @@ class Counters:
         its own timings: accumulation continues in ``self``, while the
         returned delta belongs to the single run.
         """
-        # Built through the mutator methods so the delta's registry
-        # mirror stays consistent with its legacy dict views.
         delta = Counters()
         for phase, tasks in self.phase_tasks.items():
             for stats in tasks[mark.task_counts.get(phase, 0):]:

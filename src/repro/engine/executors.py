@@ -1,4 +1,5 @@
-"""Task executors: serial (deterministic) and a persistent process pool.
+"""Task executors: serial (deterministic), a persistent process pool,
+and a node cluster.
 
 The engine exposes one operation, :meth:`Engine.map_tasks`: apply a
 function to every task of a phase, with an optional broadcast value
@@ -6,6 +7,15 @@ shared by all tasks, and record a :class:`~repro.engine.counters.TaskStats`
 per task.  This mirrors the Spark usage in the paper — ``mapPartitions``
 over pseudo random partitions with the broadcast two-level cell
 dictionary.
+
+**One dispatch loop.**  Every ``map_tasks`` call runs the same
+driver-side loop (``Engine._map_with_recovery``) over one of three
+substrates: the driver itself (serial mode and single-task phases), the
+local process pool, or the node cluster.  The loop sleeps until an
+attempt completes — pool callbacks and remote futures wake it — and at
+most ``poll_interval_s`` while nothing does, which paces the
+worker-death watch.  Retries, timeouts, tracing, and task accounting
+live in that loop alone.
 
 Process-mode semantics (matching Spark's executor model):
 
@@ -34,24 +44,27 @@ Process-mode semantics (matching Spark's executor model):
   (:attr:`~repro.engine.counters.Counters.setup_seconds`), outside every
   phase timer, so Fig 12/13 reproductions are not polluted by one-time
   engine overhead.
-* **Fault tolerance (opt-in).**  Constructing the engine with a
-  :class:`~repro.engine.faults.FaultPolicy` swaps the parallel path for
-  a driver-side recovery loop: per-task retries with exponential
+* **Fault tolerance.**  A :class:`~repro.engine.faults.FaultPolicy`
+  sets what the loop recovers from: per-task retries with exponential
   backoff, per-task and per-phase timeouts, a worker-death watchdog
   that re-spawns the pool (re-shipping broadcasts under a fresh epoch),
   and straggler detection with speculative re-execution — the Spark
-  safety net the paper's substrate provides for free.  Recovery events
-  land in the counters' fault buckets (``engine.retries``,
-  ``engine.timeouts``, ``engine.respawns``, ``engine.speculations``)
-  and, like setup time, never enter phase breakdowns.
+  safety net the paper's substrate provides for free.  Without a
+  policy the loop runs under one with no retries, re-spawns,
+  speculation, or timeouts: a failing task re-raises its own
+  exception, and a lost worker or node fails the phase naming the loss.
+  Recovery events land in the counters' fault buckets
+  (``engine.retries``, ``engine.timeouts``, ``engine.respawns``,
+  ``engine.speculations``) and, like setup time, never enter phase
+  breakdowns.
 * **Observability (opt-in).**  Constructing the engine with a
   :class:`~repro.obs.spans.Tracer` records every phase as a span tree —
   phase → task → attempt, with worker ids, broadcast epochs, and
   retry/timeout/respawn/speculation event spans — exportable as JSONL
   or Chrome ``trace_event`` JSON (see :mod:`repro.obs`).  ``profile=
   True`` additionally runs each task body under ``cProfile`` and merges
-  the per-worker captures into one stats view.  Both default off; the
-  untraced fast path costs one no-op call per recording site.
+  the per-worker captures into one stats view.  Both default off; an
+  untraced run costs one no-op call per recording site.
 """
 
 from __future__ import annotations
@@ -61,6 +74,7 @@ import heapq
 import os
 import pickle
 import statistics
+import threading
 import time
 from collections import deque
 from collections.abc import Callable, Sequence
@@ -102,6 +116,12 @@ _NOTHING = object()
 #: died, the barrier breaks loudly after this many seconds instead of
 #: hanging the fan-out forever.
 _BARRIER_TIMEOUT_S = 120.0
+
+#: The policy of an engine constructed without one: no retries, no
+#: re-spawns, no speculation, no timeouts.  Under it a failing task
+#: re-raises its own exception, and a lost worker or node fails the
+#: phase with an error naming the loss.
+_NO_POLICY = FaultPolicy(max_retries=0, max_respawns=0, speculative=False)
 
 # ----------------------------------------------------------------------
 # Worker-side module state.  Lives in each pool worker process; the
@@ -248,7 +268,6 @@ def _run_task(
         # Chaos happens before the task timer starts: an injected delay
         # models infrastructure slowness, not task compute.
         injector.apply(phase, task_id, attempt, allow_crash=True)
-    start = time.perf_counter()
     if epoch is None:
         args = (task,)
     else:
@@ -258,12 +277,20 @@ def _run_task(
                 f"{_WORKER_EPOCH}, task expects {epoch}"
             )
         args = (task, _WORKER_BROADCAST)
+    return (task_id, *_timed_call(fn, args, profile))
+
+
+def _timed_call(
+    fn: Callable[..., Any], args: tuple, profile: bool
+) -> tuple[Any, float, int, float, bytes | None]:
+    """Run one task body: ``(result, elapsed, pid, start_ts, profile_blob)``."""
+    start = time.perf_counter()
     blob = None
     if profile:
         result, blob = profile_call(fn, *args)
     else:
         result = fn(*args)
-    return task_id, result, time.perf_counter() - start, os.getpid(), start, blob
+    return result, time.perf_counter() - start, os.getpid(), start, blob
 
 
 def _default_workers() -> int:
@@ -288,26 +315,42 @@ class _Flight:
     #: Remote substrate only: the :class:`RemoteNode` running the attempt.
     node: Any = None
 
+    @property
+    def node_id(self) -> int | None:
+        return None if self.node is None else self.node.node_id
 
-class _ProcessSubstrate:
-    """The recovery loop's view of the local process pool.
+
+class _Finished:
+    """An attempt that already ran, shaped like a pool ``AsyncResult``."""
+
+    def __init__(self, outcome: Any = None, error: Exception | None = None) -> None:
+        self._outcome = outcome
+        self._error = error
+
+    def ready(self) -> bool:
+        return True
+
+    def get(self) -> Any:
+        if self._error is not None:
+            raise self._error
+        return self._outcome
+
+
+class _Substrate:
+    """The recovery loop's view of where attempts run.
 
     The loop itself is substrate-agnostic: it launches attempts, reaps
-    completions, retries, times out, speculates.  What varies between a
-    local pool and a node cluster is *where* attempts run, *what* a
-    capacity slot is, *how* infrastructure death manifests, and *which*
-    flights one death invalidates — exactly the surface these two
-    substrate classes carry.
-
-    For the pool: capacity is ``num_workers``, damage is
-    ``_pool_damaged()`` (a worker died or was silently replaced), one
-    damage event invalidates **every** flight (``loss_scope="pool"``),
-    and recovery is a full pool re-spawn with a broadcast re-ship under
-    a fresh epoch.
+    completions, retries, times out, speculates.  What varies between
+    the driver, a local pool, and a node cluster is *where* attempts
+    run, *what* a capacity slot is, *how* infrastructure death
+    manifests, and *which* flights one death invalidates — exactly the
+    surface the substrate classes carry.  This base holds the defaults
+    (nothing to lose, nothing to maintain) and the completion event the
+    loop sleeps on.
     """
 
-    kind = "process"
-    #: One damage event invalidates every in-flight attempt.
+    #: ``"pool"``: one damage event invalidates every in-flight attempt;
+    #: ``"node"``: only the dead node's.
     loss_scope = "pool"
 
     def __init__(
@@ -321,59 +364,43 @@ class _ProcessSubstrate:
         self.broadcast = broadcast
         self.wants_broadcast = wants_broadcast
         self.warmup = warmup
+        #: Set by every attempt completion; the loop waits on it.
+        self.completed = threading.Event()
+        policy = engine.fault_policy or _NO_POLICY
+        #: Attempts admitted per worker slot.  A second one waits in the
+        #: worker's queue, so a worker that finishes starts its next task
+        #: without a round trip through the driver — but then an
+        #: attempt's age includes queue time, so only when no task
+        #: timeout or speculation reads that age.
+        self.depth = (
+            1 if policy.speculative or policy.task_timeout_s is not None else 2
+        )
 
     @property
     def epoch(self) -> int | None:
         return self.engine._shipped_epoch if self.wants_broadcast else None
 
-    def has_slot(self, n_inflight: int) -> bool:
-        return n_inflight < self.engine.num_workers
-
-    def submit(
-        self,
-        fn: Callable[..., Any],
-        task_id: int,
-        task: Any,
-        attempt: int,
-        phase: str,
-        injector: FaultInjector | None,
-        profile: bool,
-    ) -> _Flight | None:
-        payload = (fn, task_id, task, self.epoch, phase, attempt, injector, profile)
-        return _Flight(
-            task_id,
-            attempt,
-            time.perf_counter(),
-            self.engine._pool.apply_async(_run_task, (payload,)),
-        )
+    def _wake(self, _outcome: Any = None) -> None:
+        self.completed.set()
 
     def damage_events(self) -> list[tuple[Any, str]]:
         """Newly detected infrastructure deaths: ``(node, reason)``
         pairs (``node`` is ``None`` for the local pool)."""
-        if self.engine._pool_damaged():
-            return [(None, "a worker process died")]
         return []
 
     def maintain(self) -> float:
         """Periodic upkeep; returns setup seconds to exclude from the
-        phase timer (the pool needs none)."""
+        phase timer."""
         return 0.0
 
     def lost_flights(self, flights: list[_Flight], node: Any) -> list[_Flight]:
         return list(flights)
 
     def recover(self, reason: str) -> None:
-        engine = self.engine
-        with engine.counters.timed_setup("respawn_teardown"):
-            # Keep the segments: the broadcast value is unchanged, so
-            # the replacement workers re-attach what already exists.
-            engine._teardown_pool(keep_segments=True)
-        engine._ensure_pool()
-        if self.wants_broadcast:
-            engine._ship_broadcast(self.broadcast, self.warmup)
+        return None
 
     def release(self, flight: _Flight) -> None:
-        pass
+        return None
 
     def worker_label(self, flight: _Flight, pid: int) -> int | str:
         return pid
@@ -388,6 +415,98 @@ class _ProcessSubstrate:
         # as the driver's, so the reported window is used directly.
         return start_ts, start_ts + elapsed
 
+
+class _InlineSubstrate(_Substrate):
+    """The recovery loop's view of the driver itself: serial mode and
+    single-task phases.
+
+    One slot.  An attempt runs to completion inside :meth:`submit`, so
+    the loop reaps it on its next scan; nothing can preempt the driver,
+    so task timeouts and speculation never fire, and an injected crash
+    degrades to an :class:`~repro.engine.faults.InjectedFault` (the
+    driver must live).  There is no infrastructure to lose.
+    """
+
+    #: Tasks read the broadcast object itself; nothing is shipped.
+    epoch = None
+
+    def has_slot(self, n_inflight: int) -> bool:
+        return n_inflight < 1
+
+    def submit(
+        self,
+        fn: Callable[..., Any],
+        task_id: int,
+        task: Any,
+        attempt: int,
+        phase: str,
+        injector: FaultInjector | None,
+        profile: bool,
+    ) -> _Flight:
+        submitted = time.perf_counter()
+        args = (task, self.broadcast) if self.wants_broadcast else (task,)
+        try:
+            if injector is not None:
+                injector.apply(phase, task_id, attempt, allow_crash=False)
+            outcome = _Finished((task_id, *_timed_call(fn, args, profile)))
+        except Exception as exc:
+            outcome = _Finished(error=exc)
+        return _Flight(task_id, attempt, submitted, outcome)
+
+    def worker_label(self, flight: _Flight, pid: int) -> int | str:
+        return DRIVER_WORKER
+
+
+class _ProcessSubstrate(_Substrate):
+    """The recovery loop's view of the local process pool.
+
+    Capacity is ``num_workers``, damage is ``_pool_damaged()`` (a worker
+    died or was silently replaced), one damage event invalidates
+    **every** flight (``loss_scope="pool"``), and recovery is a full
+    pool re-spawn with a broadcast re-ship under a fresh epoch.  The
+    pool's result callbacks wake the loop; a dead worker's attempt never
+    completes, which is what the damage watch is for.
+    """
+
+    def has_slot(self, n_inflight: int) -> bool:
+        return n_inflight < self.depth * self.engine.num_workers
+
+    def submit(
+        self,
+        fn: Callable[..., Any],
+        task_id: int,
+        task: Any,
+        attempt: int,
+        phase: str,
+        injector: FaultInjector | None,
+        profile: bool,
+    ) -> _Flight:
+        payload = (fn, task_id, task, self.epoch, phase, attempt, injector, profile)
+        return _Flight(
+            task_id,
+            attempt,
+            time.perf_counter(),
+            self.engine._pool.apply_async(
+                _run_task, (payload,),
+                callback=self._wake, error_callback=self._wake,
+            ),
+        )
+
+    def damage_events(self) -> list[tuple[Any, str]]:
+        if self.engine._pool_damaged():
+            return [(None, "a worker process died")]
+        return []
+
+    def recover(self, reason: str) -> None:
+        engine = self.engine
+        with engine.counters.timed_setup("respawn_teardown"):
+            # Keep the segments: the broadcast value is unchanged, so
+            # the replacement workers re-attach what already exists.
+            engine._teardown_pool(keep_segments=True)
+        engine._ensure_pool()
+        if self.wants_broadcast:
+            engine._ship_broadcast(self.broadcast, self.warmup)
+
     def exhausted_message(self, budget: int, phase: str, reason: str) -> str:
         return (
             f"pool re-spawn budget ({budget}) exhausted "
@@ -395,7 +514,7 @@ class _ProcessSubstrate:
         )
 
 
-class _RemoteSubstrate:
+class _RemoteSubstrate(_Substrate):
     """The recovery loop's view of a node cluster.
 
     Capacity is per-node (a node contributes ``workers`` slots while it
@@ -404,10 +523,11 @@ class _RemoteSubstrate:
     **that node's** flights (``loss_scope="node"`` — the survivors keep
     computing), and recovery is re-shipping the current epoch to nodes
     that rejoin.  fn and tasks cross the wire pickled per attempt; the
-    fn blob is cached since every attempt of a phase shares it.
+    fn blob is cached since every attempt of a phase shares it.  Each
+    attempt's future wakes the loop when its result (or its node's
+    death) arrives.
     """
 
-    kind = "remote"
     loss_scope = "node"
 
     def __init__(
@@ -417,20 +537,13 @@ class _RemoteSubstrate:
         wants_broadcast: bool,
         warmup: Callable[[Any], Any] | None,
     ) -> None:
-        self.engine = engine
+        super().__init__(engine, broadcast, wants_broadcast, warmup)
         self.cluster = engine._cluster
-        self.broadcast = broadcast
-        self.wants_broadcast = wants_broadcast
-        self.warmup = warmup
         self._fn: Any = _NOTHING
         self._fn_blob: bytes | None = None
         #: node_id -> attempts currently on that node (driver view).
         self.inflight: dict[int, int] = {}
         self._all_dead_since: float | None = None
-
-    @property
-    def epoch(self) -> int | None:
-        return self.engine._shipped_epoch if self.wants_broadcast else None
 
     def _eligible_nodes(self) -> list[Any]:
         epoch = self.epoch
@@ -446,7 +559,7 @@ class _RemoteSubstrate:
         best_load = None
         for node in self._eligible_nodes():
             load = self.inflight.get(node.node_id, 0)
-            if load >= node.workers:
+            if load >= self.depth * node.workers:
                 continue
             if best is None or load / node.workers < best_load:
                 best = node
@@ -484,6 +597,7 @@ class _RemoteSubstrate:
             profile=profile,
         )
         self.inflight[node.node_id] = self.inflight.get(node.node_id, 0) + 1
+        result.add_done_callback(self._wake)
         return _Flight(
             task_id, attempt, time.perf_counter(), result, node=node
         )
@@ -536,11 +650,9 @@ class _RemoteSubstrate:
     def lost_flights(self, flights: list[_Flight], node: Any) -> list[_Flight]:
         return [f for f in flights if f.node is node]
 
-    def recover(self, reason: str) -> None:
-        # Nothing to rebuild driver-side: the dead node's flights were
-        # failed by the cluster, the survivors keep their epoch, and a
-        # rejoin is re-equipped by maintain().
-        return None
+    # recover() stays the base no-op: the dead node's flights were
+    # failed by the cluster, the survivors keep their epoch, and a
+    # rejoin is re-equipped by maintain().
 
     def release(self, flight: _Flight) -> None:
         node_id = flight.node.node_id
@@ -588,14 +700,17 @@ class Engine:
         all worker entry points are module-level functions and the
         rendezvous barrier is shipped through the pool initializer.
     fault_policy:
-        Optional :class:`~repro.engine.faults.FaultPolicy`.  When set,
-        parallel ``map_tasks`` calls run under a recovery loop (retries,
-        timeouts, pool re-spawn, speculation) and inline calls retry
-        failed tasks with backoff; the policy's
+        Optional :class:`~repro.engine.faults.FaultPolicy`: the retries,
+        timeouts, pool re-spawns, and speculation every ``map_tasks``
+        call's dispatch loop may use (inline attempts cannot be
+        preempted, so timeouts and speculation act on the pool and the
+        cluster only).  The policy's
         :class:`~repro.engine.faults.FaultInjector`, if any, wraps every
-        task attempt in every mode.  Without a policy the engine keeps
-        the zero-overhead fast path, where a single task failure fails
-        the phase.
+        task attempt in every mode.  Without a policy the same loop runs
+        with no retries, re-spawns, speculation, or timeouts: a failing
+        task re-raises its own exception, and a lost worker or node
+        fails the phase with a
+        :class:`~repro.engine.faults.TaskFailedError` naming the loss.
     tracer:
         Optional :class:`~repro.obs.spans.Tracer`.  When set, every
         ``map_tasks`` call records a ``phase`` span with nested
@@ -952,250 +1067,85 @@ class Engine:
         EngineClosedError
             If :meth:`close` was called; a closed engine fails new work
             cleanly instead of resurrecting its pool.
+        TaskFailedError
+            If a task exhausted its retry budget or the phase lost more
+            workers or nodes than the policy allows — without a policy,
+            on the first loss.  Without a policy a failing task raises
+            its own exception instead.
         """
         if self._closed:
             raise EngineClosedError(
                 "map_tasks on a closed Engine; construct a new Engine instead"
             )
         wants_broadcast = broadcast is not None
-        label = trace_phase if trace_phase is not None else phase
-        results: list[Any] = [None] * len(tasks)
-        if self.mode == "remote" and len(tasks) > 1:
-            # Setup (cluster connect + per-node broadcast shipping)
-            # happens OUTSIDE the phase timer, same as the pool path.
+        # Setup (pool startup or cluster connect, broadcast shipping,
+        # warm-up) happens OUTSIDE the phase timer: it is engine
+        # overhead, not work.
+        if self.mode == "serial" or len(tasks) < 2:
+            substrate_type: type[_Substrate] = _InlineSubstrate
+            if wants_broadcast and warmup is not None:
+                self._warm_inline(broadcast, warmup)
+        elif self.mode == "process":
+            substrate_type = _ProcessSubstrate
+            if self._pool_damaged():
+                # A worker died after the last phase stopped watching
+                # (or was that phase's loss): start on a fresh pool.
+                self._teardown_pool(keep_segments=True)
+            self._ensure_pool()
+            if wants_broadcast:
+                self._ship_broadcast(broadcast, warmup)
+        else:
+            substrate_type = _RemoteSubstrate
             self._ensure_cluster()
             if wants_broadcast:
                 self._ship_broadcast_remote(broadcast, warmup)
-            if self.fault_policy is not None:
-                return self._map_with_recovery(
-                    fn,
-                    tasks,
-                    substrate=_RemoteSubstrate(
-                        self, broadcast, wants_broadcast, warmup
-                    ),
-                    phase=label,
-                    counter_phase=phase,
-                    item_counter=item_counter,
-                )
-            return self._map_remote_fast(
-                fn,
-                tasks,
-                wants_broadcast=wants_broadcast,
-                phase=label,
-                counter_phase=phase,
-                item_counter=item_counter,
-            )
-        if self.mode == "process" and len(tasks) > 1:
-            # Setup (pool startup + broadcast shipping + warm-up) happens
-            # OUTSIDE the phase timer: it is engine overhead, not work.
-            pool = self._ensure_pool()
-            epoch: int | None = None
-            if wants_broadcast:
-                self._ship_broadcast(broadcast, warmup)
-                epoch = self._shipped_epoch
-            if self.fault_policy is not None:
-                return self._map_with_recovery(
-                    fn,
-                    tasks,
-                    substrate=_ProcessSubstrate(
-                        self, broadcast, wants_broadcast, warmup
-                    ),
-                    phase=label,
-                    counter_phase=phase,
-                    item_counter=item_counter,
-                )
-            payloads = [
-                (fn, task_id, task, epoch, label, 0, None, self.profile)
-                for task_id, task in enumerate(tasks)
-            ]
-            with self.counters.timed_phase(phase), self.tracer.span(
-                label, "phase", phase=label
-            ):
-                for task_id, result, elapsed, pid, start_ts, blob in (
-                    pool.imap_unordered(_run_task, payloads)
-                ):
-                    results[task_id] = result
-                    self._record(phase, task_id, tasks[task_id], elapsed, item_counter, pid)
-                    if blob is not None:
-                        self.profile_blobs.append(blob)
-                    self._trace_oneshot(
-                        label, task_id, start_ts, start_ts + elapsed, pid, epoch
-                    )
-        else:
-            if wants_broadcast and warmup is not None:
-                self._warm_inline(broadcast, warmup)
-            with self.counters.timed_phase(phase), self.tracer.span(
-                label, "phase", phase=label
-            ):
-                for task_id, task in enumerate(tasks):
-                    if self.fault_policy is not None:
-                        results[task_id] = self._run_inline_with_retries(
-                            fn, task_id, task, broadcast, wants_broadcast,
-                            label, phase, item_counter,
-                        )
-                        continue
-                    start = time.perf_counter()
-                    if self.profile:
-                        args = (task, broadcast) if wants_broadcast else (task,)
-                        result, blob = profile_call(fn, *args)
-                        self.profile_blobs.append(blob)
-                    else:
-                        result = fn(task, broadcast) if wants_broadcast else fn(task)
-                    elapsed = time.perf_counter() - start
-                    results[task_id] = result
-                    self._record(
-                        phase, task_id, task, elapsed, item_counter, DRIVER_WORKER
-                    )
-                    self._trace_oneshot(
-                        label, task_id, start, start + elapsed, DRIVER_WORKER, None
-                    )
-        return results
-
-    def _trace_oneshot(
-        self,
-        phase: str,
-        task_id: int,
-        start_s: float,
-        end_s: float,
-        worker: int | str,
-        epoch: int | None,
-        node: str | None = None,
-    ) -> None:
-        """Record the task + single-attempt spans of a fast-path task.
-
-        The current tracer parent is the phase span (all call sites sit
-        inside ``tracer.span(phase, ...)``), so the nesting comes out as
-        phase → task → attempt with one attempt per task.  ``node``
-        annotates remote attempts with the node that ran them.
-        """
-        tracer = self.tracer
-        if not tracer.enabled:
-            return
-        annotations: dict[str, Any] = {
-            "compute_s": end_s - start_s, "winner": True,
-        }
-        if node is not None:
-            annotations["node"] = node
-        task_span = tracer.record_span(
-            f"task {task_id}", "task", start_s=start_s, end_s=end_s,
-            phase=phase, task_id=task_id, worker=worker,
-        )
-        tracer.record_span(
-            f"task {task_id}#0", "attempt", start_s=start_s, end_s=end_s,
-            parent_id=task_span.span_id, phase=phase, task_id=task_id,
-            attempt=0, worker=worker, epoch=epoch,
-            annotations=annotations,
+        return self._map_with_recovery(
+            fn,
+            tasks,
+            substrate=substrate_type(self, broadcast, wants_broadcast, warmup),
+            phase=trace_phase if trace_phase is not None else phase,
+            counter_phase=phase,
+            item_counter=item_counter,
         )
 
     # ------------------------------------------------------------------
-    # Fault-tolerant execution
+    # The dispatch loop
     # ------------------------------------------------------------------
-
-    def _run_inline_with_retries(
-        self,
-        fn: Callable[..., Any],
-        task_id: int,
-        task: Any,
-        broadcast: Any,
-        wants_broadcast: bool,
-        phase: str,
-        counter_phase: str,
-        item_counter: Callable[[Any], int] | None,
-    ) -> Any:
-        """Inline (driver-side) execution under the retry policy.
-
-        Timeouts and speculation need preemption, which inline execution
-        cannot do, so only the retry/backoff part of the policy applies;
-        injected crashes degrade to exceptions (the driver must live).
-        ``phase`` is the display/injector label (``trace_phase`` of
-        :meth:`map_tasks`); ``counter_phase`` is the counter bucket.
-        """
-        policy = self.fault_policy
-        injector = policy.injector
-        tracer = self.tracer
-        task_span: Span | None = None
-        if tracer.enabled:
-            task_span = tracer.start_span(
-                f"task {task_id}", "task", push=False,
-                phase=phase, task_id=task_id, worker=DRIVER_WORKER,
-            )
-        failures = 0
-        while True:
-            start = time.perf_counter()
-            try:
-                if injector is not None:
-                    injector.apply(phase, task_id, failures, allow_crash=False)
-                    start = time.perf_counter()
-                result = fn(task, broadcast) if wants_broadcast else fn(task)
-            except Exception as exc:
-                if task_span is not None:
-                    tracer.record_span(
-                        f"task {task_id}#{failures}", "attempt",
-                        start_s=start, end_s=time.perf_counter(),
-                        parent_id=task_span.span_id, phase=phase,
-                        task_id=task_id, attempt=failures,
-                        worker=DRIVER_WORKER, status="error",
-                        annotations={"error": repr(exc)},
-                    )
-                failures += 1
-                if failures > policy.max_retries:
-                    if task_span is not None:
-                        tracer.end_span(task_span, status="error")
-                    raise TaskFailedError(
-                        f"task {task_id} of phase {phase!r} failed "
-                        f"{failures} attempts (retry budget {policy.max_retries})"
-                    ) from exc
-                self.counters.add_fault_event(FAULT_RETRIES)
-                tracer.event(
-                    EVENT_RETRY, phase=phase, task_id=task_id,
-                    parent_id=None if task_span is None else task_span.parent_id,
-                )
-                time.sleep(policy.backoff(failures))
-                continue
-            elapsed = time.perf_counter() - start
-            self._record(
-                counter_phase, task_id, task, elapsed, item_counter, DRIVER_WORKER
-            )
-            if task_span is not None:
-                tracer.record_span(
-                    f"task {task_id}#{failures}", "attempt",
-                    start_s=start, end_s=start + elapsed,
-                    parent_id=task_span.span_id, phase=phase,
-                    task_id=task_id, attempt=failures, worker=DRIVER_WORKER,
-                    annotations={"compute_s": elapsed, "winner": True},
-                )
-                tracer.end_span(task_span)
-            return result
 
     def _map_with_recovery(
         self,
         fn: Callable[..., Any],
         tasks: Sequence[Any],
         *,
-        substrate: Any,
+        substrate: _Substrate,
         phase: str,
         counter_phase: str,
         item_counter: Callable[[Any], int] | None,
     ) -> list[Any]:
-        """The driver-side recovery loop (``len(tasks) > 1``).
+        """The driver-side dispatch loop every ``map_tasks`` call runs.
 
         Admission control keeps at most one attempt per free slot of the
-        ``substrate`` (pool worker or remote node slot), so an attempt's
-        age measures *execution* time, not queue time — without it,
-        attempts queued behind a slow worker would burn their retry
-        budget before ever running.  The loop then polls: reaps
+        ``substrate`` (the driver, a pool worker, or a remote node
+        slot), so an attempt's age measures *execution* time, not queue
+        time — without it, attempts queued behind a slow worker would
+        burn their retry budget before ever running.  When no task
+        timeout or speculation reads that age, a second attempt per
+        slot waits in the worker's queue (``_Substrate.depth``).  Each
+        scan reaps
         completions, retries failures with backoff, abandons attempts
         that exceed the task timeout (the abandoned attempt keeps racing
         its retry — first completion wins — but holds its slot, since
         that slot really is busy), absorbs infrastructure loss (a pool
         re-spawn invalidates every flight; a node death only that
         node's), and launches speculative duplicates for stragglers on
-        free slots.  Phase time excludes recovery overhead, which is
-        accounted as engine setup.  ``phase`` is the display/injector
-        label (``trace_phase`` of :meth:`map_tasks`); ``counter_phase``
-        is the counter bucket.
+        free slots.  Between scans the loop sleeps until an attempt
+        completes, or at most ``poll_interval_s``, which paces the watch
+        for lost workers, timeouts, and stragglers.  Phase time excludes
+        recovery overhead, which is accounted as engine setup.
+        ``phase`` is the display/injector label (``trace_phase`` of
+        :meth:`map_tasks`); ``counter_phase`` is the counter bucket.
         """
-        policy = self.fault_policy
+        policy = self.fault_policy or _NO_POLICY
         injector = policy.injector
         tracer = self.tracer
         #: Open ``task`` spans by task id (first launch → accepted
@@ -1218,6 +1168,12 @@ class Engine:
         retry_heap: list[tuple[float, int, int]] = []  # (due, seq, task_id)
         retry_seq = 0
         durations: list[float] = []
+        #: Ids of the nodes (``None``: the local pool) that completed an
+        #: attempt of this phase.  Only their attempts can be stragglers:
+        #: a node's first attempts pay one-time costs the median does not
+        #: show (a rejoined agent and its workers import the phase
+        #: function's module when they unpickle it).
+        answered: set[int | None] = set()
         completed = 0
         respawns = 0
         epoch = substrate.epoch
@@ -1231,6 +1187,14 @@ class Engine:
                 task_id, kind = ready.popleft()
                 if done[task_id]:
                     continue
+                if tracer.enabled and task_id not in task_spans:
+                    # Opened before the submit: an inline attempt has
+                    # already run by the time submit returns.
+                    task_spans[task_id] = tracer.start_span(
+                        f"task {task_id}", "task", push=False,
+                        parent_id=phase_span.span_id,
+                        phase=phase, task_id=task_id,
+                    )
                 attempt = launches[task_id]
                 try:
                     flight = substrate.submit(
@@ -1252,12 +1216,6 @@ class Engine:
                 elif kind == "speculation":
                     self.counters.add_fault_event(FAULT_SPECULATIONS)
                     tracer.event(EVENT_SPECULATION, phase=phase, task_id=task_id)
-                if tracer.enabled and task_id not in task_spans:
-                    task_spans[task_id] = tracer.start_span(
-                        f"task {task_id}", "task", push=False,
-                        parent_id=phase_span.span_id,
-                        phase=phase, task_id=task_id,
-                    )
                 flights.append(flight)
                 launched = True
             return launched
@@ -1277,6 +1235,8 @@ class Engine:
             if failures[task_id] > policy.max_retries:
                 if racing_attempts(task_id) > 0:
                     return  # a racing attempt may still save the task
+                if policy is _NO_POLICY:
+                    raise exc
                 raise TaskFailedError(
                     f"task {task_id} of phase {phase!r} failed "
                     f"{failures[task_id]} attempts "
@@ -1315,6 +1275,11 @@ class Engine:
             nonlocal respawns
             respawns += 1
             if respawns > policy.max_respawns:
+                if policy is _NO_POLICY:
+                    raise TaskFailedError(
+                        f"phase {phase!r} failed: {reason} (no fault "
+                        "policy to recover from the loss)"
+                    )
                 raise TaskFailedError(
                     substrate.exhausted_message(
                         policy.max_respawns, phase, reason
@@ -1454,6 +1419,7 @@ class Engine:
                             fail_attempt(flight.task_id, exc)
                         else:
                             substrate.release(flight)
+                            answered.add(flight.node_id)
                             if blob is not None:
                                 self.profile_blobs.append(blob)
                             won = not done[task_id]
@@ -1545,6 +1511,8 @@ class Engine:
                         task_id = flight.task_id
                         if done[task_id] or speculated[task_id] or flight.timed_out:
                             continue
+                        if flight.node_id not in answered:
+                            continue
                         if now - flight.submitted_at > threshold:
                             speculated[task_id] = True
                             ready.append((task_id, "speculation"))
@@ -1552,7 +1520,13 @@ class Engine:
                 if progressed:
                     launch_ready()
                 else:
-                    time.sleep(policy.poll_interval_s)
+                    # Sleep until an attempt completes, a retry falls
+                    # due, or the poll interval passes (the death watch).
+                    timeout = policy.poll_interval_s
+                    if retry_heap:
+                        timeout = min(timeout, max(retry_heap[0][0] - now, 0.0))
+                    substrate.completed.wait(timeout)
+                    substrate.completed.clear()
             finished = True
         finally:
             if tracer.enabled:
@@ -1578,86 +1552,6 @@ class Engine:
             self.counters.add_phase_time(
                 counter_phase, time.perf_counter() - start - recovery_setup
             )
-        return results
-
-    def _map_remote_fast(
-        self,
-        fn: Callable[..., Any],
-        tasks: Sequence[Any],
-        *,
-        wants_broadcast: bool,
-        phase: str,
-        counter_phase: str,
-        item_counter: Callable[[Any], int] | None,
-    ) -> list[Any]:
-        """Remote execution without a fault policy.
-
-        Admission-controlled dispatch across eligible nodes, reaped in
-        completion order.  The first failure propagates — node death
-        included; resilience is the recovery loop's job, opted into via
-        ``fault_policy`` (same contract as the local fast path, where a
-        worker death surfaces instead of being absorbed).
-        """
-        substrate = _RemoteSubstrate(self, None, wants_broadcast, None)
-        epoch = substrate.epoch
-        n = len(tasks)
-        results: list[Any] = [None] * n
-        pending: deque[int] = deque(range(n))
-        flights: list[_Flight] = []
-        completed = 0
-        with self.counters.timed_phase(counter_phase), self.tracer.span(
-            phase, "phase", phase=phase
-        ):
-            while completed < n:
-                while pending and substrate.has_slot(len(flights)):
-                    task_id = pending[0]
-                    try:
-                        flight = substrate.submit(
-                            fn, task_id, tasks[task_id], 0, phase, None,
-                            self.profile,
-                        )
-                    except NodeDeathError:
-                        # Race with a death: fall through to the
-                        # eligible-nodes check below.
-                        flight = None
-                    if flight is None:
-                        break
-                    pending.popleft()
-                    flights.append(flight)
-                progressed = False
-                for flight in list(flights):
-                    if not flight.async_result.ready():
-                        continue
-                    flights.remove(flight)
-                    substrate.release(flight)
-                    progressed = True
-                    task_id, result, elapsed, pid, _start_ts, blob = (
-                        flight.async_result.get()
-                    )
-                    results[task_id] = result
-                    completed += 1
-                    worker = substrate.worker_label(flight, pid)
-                    self._record(
-                        counter_phase, task_id, tasks[task_id], elapsed,
-                        item_counter, worker,
-                    )
-                    if blob is not None:
-                        self.profile_blobs.append(blob)
-                    span_start, span_end = substrate.attempt_window(
-                        flight, None, elapsed
-                    )
-                    self._trace_oneshot(
-                        phase, task_id, span_start, span_end, worker, epoch,
-                        node=flight.node.label,
-                    )
-                if not progressed:
-                    if pending and not flights and not substrate._eligible_nodes():
-                        raise NodeDeathError(
-                            f"phase {phase!r}: no eligible node left to run "
-                            f"{len(pending)} remaining task(s); configure "
-                            "fault_policy for node-death recovery"
-                        )
-                    time.sleep(0.005)
         return results
 
     # ------------------------------------------------------------------

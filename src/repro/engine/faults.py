@@ -2,14 +2,15 @@
 
 Spark gives the paper's implementation task retries, timeouts, and
 straggler re-execution for free; this module supplies the same safety
-net for the repo's process executor.  Two pieces:
+net for the repo's executors.  Two pieces:
 
-* :class:`FaultPolicy` — the knobs the driver-side recovery loop in
-  :meth:`repro.engine.executors.Engine.map_tasks` obeys: a per-task
-  retry budget with exponential backoff, per-task and per-phase
-  timeouts, automatic pool re-spawn after a worker crash (re-shipping
-  broadcasts under a fresh epoch), and straggler detection with
-  speculative re-execution.
+* :class:`FaultPolicy` — the knobs of the driver-side dispatch loop
+  every :meth:`repro.engine.executors.Engine.map_tasks` call runs: a
+  per-task retry budget with exponential backoff, per-task and
+  per-phase timeouts, automatic pool re-spawn after a worker crash
+  (re-shipping broadcasts under a fresh epoch), and straggler
+  detection with speculative re-execution.  An engine without a policy
+  runs the same loop with all of them off.
 * :class:`FaultInjector` — a seeded chaos source that wraps task
   execution in *any* executor mode.  Per task attempt it deterministically
   decides whether to delay, crash the worker (process mode; inline runs
@@ -227,10 +228,13 @@ class FaultInjector:
 class FaultPolicy:
     """Recovery behavior of a fault-tolerant :class:`~repro.engine.Engine`.
 
-    Passing a policy to the engine (or to
-    :class:`~repro.core.rp_dbscan.RPDBSCAN`) opts ``map_tasks`` into the
-    driver-side recovery loop; without one, the engine keeps its
-    zero-overhead fast path and a single worker failure fails the phase.
+    Every ``map_tasks`` call runs the same driver-side dispatch loop;
+    the policy passed to the engine (or to
+    :class:`~repro.core.rp_dbscan.RPDBSCAN`) sets how much it may
+    recover.  Without one the loop runs with no retries, re-spawns,
+    speculation, or timeouts: a failing task re-raises its own
+    exception, and a lost worker or node fails the phase with a
+    :class:`TaskFailedError` naming the loss.
 
     Parameters
     ----------
@@ -259,14 +263,18 @@ class FaultPolicy:
         the median completed-task duration (and at least
         ``straggler_min_wait_s``) gets one speculative duplicate; first
         completion wins, the loser is ignored — Spark's
-        ``spark.speculation``.
+        ``spark.speculation``.  Only attempts on a node that has already
+        completed an attempt of the phase are duplicated: a node's first
+        attempts pay one-time start-up costs.
     max_respawns:
         Pool re-spawns allowed per ``map_tasks`` call before giving up.
     injector:
         Optional :class:`FaultInjector` wrapped around every task
         attempt, in any executor mode, for chaos testing.
     poll_interval_s:
-        Driver-side polling granularity of the recovery loop.
+        Longest the loop sleeps while no attempt completes (a completion
+        wakes it at once).  It paces the watch for dead workers, task
+        timeouts, and stragglers.
     """
 
     max_retries: int = 2

@@ -291,6 +291,11 @@ class NodeAgent:
         key = (msg["task_id"], msg["attempt"])
         if not await self._apply_node_chaos(msg["phase"], writer):
             return  # connection dropped by chaos; driver will requeue
+        # A local pool respawn holds the lock: wait for the new pool and
+        # epoch map instead of bouncing the task as stale.  Nothing below
+        # awaits, so no respawn can start before the task is dispatched.
+        async with self._install_lock:
+            pass
         epoch = msg["epoch"]
         local_epoch = None
         if epoch is not None:
@@ -404,19 +409,24 @@ class NodeAgent:
     # ------------------------------------------------------------------
 
     async def _watchdog(self) -> None:
-        """Respawn the local pool when a worker dies, then fail the
-        in-flight tasks back to the driver as requeue-able."""
+        """When a local worker dies, fail the in-flight tasks back to the
+        driver as requeue-able at once — their retries need not wait for
+        the new pool — then respawn the pool."""
         while True:
-            await asyncio.sleep(0.2)
+            # Well under the driver's shortest straggler wait, so a lost
+            # attempt is requeued, not speculated.
+            await asyncio.sleep(0.05)
             if self.engine._pool is not None and self.engine._pool_damaged():
                 async with self._install_lock:
+                    lost, self._pending = self._pending, {}
+                    self._epoch_map = {}
+                    for key in lost:
+                        self._notify_lost(key)
                     await asyncio.get_running_loop().run_in_executor(
                         None, self._respawn
                     )
 
     def _respawn(self) -> None:
-        pending, self._pending = dict(self._pending), {}
-        self._epoch_map = {}
         # Keep the segments: the broadcast value is unchanged, the
         # replacement workers re-attach the node-local segments.
         self.engine._teardown_pool(keep_segments=True)
@@ -426,18 +436,14 @@ class NodeAgent:
             self.engine._ship_broadcast(value, warmup)
             self._epoch_map = {epoch: self.engine._shipped_epoch}
         self.respawns += 1
-        for key in pending:
-            self._loop.call_soon_threadsafe(
-                self._notify_respawned, key
-            )
 
-    def _notify_respawned(self, key: tuple[int, int]) -> None:
+    def _notify_lost(self, key: tuple[int, int]) -> None:
         self._pending[key] = None  # re-arm so _send_failure pops cleanly
         self._send_failure(
             key,
             error=RuntimeError(
                 f"node {self.node_id}: a local worker died; "
-                "pool respawned, attempt lost"
+                "attempt lost, pool respawning"
             ),
             requeue=True,
         )

@@ -3,10 +3,10 @@
 :class:`RemoteCluster` owns one TCP connection per node agent and an
 asyncio event loop running in a dedicated background thread; the engine
 talks to it through a small synchronous facade (connect / ship / submit
-/ stats / close) so the recovery loop in
-:meth:`repro.engine.executors.Engine.map_tasks` stays the synchronous
-polling loop it already is — remote flights expose the same
-``ready()``/``get()`` surface as a pool ``AsyncResult``.
+/ stats / close) so the dispatch loop behind
+:meth:`repro.engine.executors.Engine.map_tasks` stays synchronous —
+remote flights expose the same ``ready()``/``get()`` surface as a pool
+``AsyncResult``, plus a done callback that wakes the loop.
 
 Liveness and death:
 
@@ -130,6 +130,11 @@ class _RemoteFlightResult:
 
     def ready(self) -> bool:
         return self._future.done()
+
+    def add_done_callback(self, callback: Callable[[Any], Any]) -> None:
+        """Call ``callback(future)`` once the attempt is answered or its
+        node dies (at once if that already happened)."""
+        self._future.add_done_callback(callback)
 
     def get(self) -> tuple[int, Any, float, int, float | None, bytes | None]:
         body = self._future.result()

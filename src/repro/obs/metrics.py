@@ -1,25 +1,13 @@
 """Metrics registry: named counters, gauges, and fixed-bucket histograms.
 
-The registry generalizes the flat dict buckets of
-:class:`~repro.engine.counters.Counters` into three first-class metric
-types with a Prometheus-style data model (monotonic counters, last-value
-gauges, cumulative-bucket histograms).  ``Counters`` itself survives as
-a **compatibility shim**: every write to its legacy dicts is mirrored
-into an attached registry under stable names —
-
-===========================  =====================================
-legacy bucket                registry metric
-===========================  =====================================
-``phase_seconds[p]``         counter ``phase_seconds.<p>``
-``setup_seconds[c]``         counter ``setup_seconds.<c>``
-``fault_events[k]``          counter ``fault_events.<k>``
-``phase_tasks[p]`` items     counter ``items.<p>``
-``phase_tasks[p]`` times     histogram ``task_seconds.<p>``
-===========================  =====================================
-
-so existing consumers keep reading the dicts while new tooling (run
-reports, exporters, dashboards) reads the registry — with identical
-values, which ``tests/obs/test_metrics.py`` pins.
+Three metric types with a Prometheus-style data model (monotonic
+counters, last-value gauges, cumulative-bucket histograms).  The
+predict server keeps its live metrics here (latency and batch-size
+histograms, queue-depth and epoch gauges, request counters), and a
+``Tracer(metrics=registry)`` observes every closed attempt span into a
+``task_seconds.<phase>`` histogram.  A fit's run record — per-task rows,
+worker ids, the merge ledger — stays in
+:class:`~repro.engine.counters.Counters`.
 """
 
 from __future__ import annotations

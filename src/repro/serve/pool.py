@@ -23,6 +23,11 @@ under an epoch tag** without locking the hot path:
 Worker death is absorbed, not fatal: the proxy respawns the process,
 re-installs the current epoch, and only the in-flight job fails (the
 server surfaces it as a per-request error).
+
+Server death is final for every child: each forked child first closes
+the server-side pipe ends it inherited (:func:`close_inherited_ends`),
+so its own pipe reads EOF and it exits once the server is gone — also
+when the server was killed without a chance to stop them.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from multiprocessing import get_context
+from typing import Any
 
 import numpy as np
 
@@ -47,6 +53,35 @@ from repro.engine.shm import (
 )
 
 __all__ = ["PredictorPool", "InstallStats", "ServePoolError"]
+
+#: Server-side ends of the pipes to this process's serving children
+#: (predictor workers, the refit process).  A forked child inherits a
+#: copy of every one, which would keep each pipe open after the server
+#: dies.  Process-wide, as the descriptors a fork copies are: a child
+#: forked for one server also holds the ends of any other server in the
+#: process.
+_SERVER_ENDS: set[Any] = set()
+
+
+def server_pipe(ctx) -> tuple[Any, Any]:
+    """A duplex pipe to a serving child: ``(server_end, child_end)``."""
+    server_end, child_end = ctx.Pipe(duplex=True)
+    _SERVER_ENDS.add(server_end)
+    return server_end, child_end
+
+
+def close_server_end(conn) -> None:
+    """Close a server end made by :func:`server_pipe`."""
+    _SERVER_ENDS.discard(conn)
+    conn.close()
+
+
+def close_inherited_ends() -> None:
+    """Close, in a just-forked serving child, every server-side end the
+    fork copied; only the server then holds them."""
+    for conn in list(_SERVER_ENDS):
+        conn.close()
+    _SERVER_ENDS.clear()
 
 
 class ServePoolError(RuntimeError):
@@ -75,6 +110,7 @@ class InstallStats:
 
 def _worker_main(conn) -> None:
     """Predictor worker loop: install models, answer predict batches."""
+    close_inherited_ends()
     model = None
     attachment = None
     epoch = -1
@@ -150,7 +186,7 @@ class _WorkerProxy:
 
     def _spawn(self) -> None:
         ctx = self._pool._ctx
-        self._conn, child = ctx.Pipe(duplex=True)
+        self._conn, child = server_pipe(ctx)
         self._process = ctx.Process(
             target=_worker_main, args=(child,), daemon=True
         )
@@ -166,7 +202,7 @@ class _WorkerProxy:
         """Replace a dead worker and re-equip it with the current model."""
         self.respawns += 1
         try:
-            self._conn.close()
+            close_server_end(self._conn)
         except Exception:
             pass
         if self._process.is_alive():
@@ -193,6 +229,7 @@ class _WorkerProxy:
                 if self._process.is_alive():
                     self._process.terminate()
                     self._process.join(timeout=5.0)
+                close_server_end(self._conn)
                 return
             try:
                 reply = self._roundtrip(job.message)

@@ -88,7 +88,12 @@ from repro.obs.metrics import (
 )
 from repro.serve import wire
 from repro.serve.batcher import BATCHES_PER_WORKER, MicroBatcher
-from repro.serve.pool import PredictorPool
+from repro.serve.pool import (
+    PredictorPool,
+    close_inherited_ends,
+    close_server_end,
+    server_pipe,
+)
 
 __all__ = ["ServeConfig", "PredictServer", "running_server"]
 
@@ -123,16 +128,15 @@ class _ServeState:
     ingest_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
 
 
-def _refit_main(conn, server_end, state, kernel: str) -> None:
+def _refit_main(conn, state, kernel: str) -> None:
     """Refit process loop: ingest each point block into ``state`` and
     reply with the report, the next serving model and the point count.
 
     ``ingest`` commits last, so a block it refuses leaves ``state`` as
-    it was.  The loop ends when the server closes its end of the pipe.
+    it was.  The loop ends when the server closes its end of the pipe
+    (or dies).
     """
-    # A forked child holds a copy of the server's end too; the EOF
-    # that ends this loop comes only once that copy is closed.
-    server_end.close()
+    close_inherited_ends()
     # The server owns shutdown; a terminal's Ctrl-C reaches this
     # process too and must not kill it mid-refit with a traceback.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -155,10 +159,10 @@ class _RefitProcess:
 
     def __init__(self, state, kernel: str) -> None:
         ctx = get_context("fork" if os.name == "posix" else "spawn")
-        self._conn, child = ctx.Pipe()
+        self._conn, child = server_pipe(ctx)
         self._process = ctx.Process(
             target=_refit_main,
-            args=(child, self._conn, state, kernel),
+            args=(child, state, kernel),
             name="serve-refit",
             daemon=True,
         )
@@ -190,7 +194,7 @@ class _RefitProcess:
 
     def close(self) -> None:
         """Close the pipe (the process's signal to exit) and join it."""
-        self._conn.close()
+        close_server_end(self._conn)
         self._process.join(timeout=10.0)
         if self._process.is_alive():
             self._process.terminate()
@@ -321,9 +325,6 @@ class PredictServer:
             pool, self._pool = self._pool, None
             await loop.run_in_executor(None, pool.close)
         if self._refit is not None:
-            # After the pool: its workers were forked holding the
-            # server's end of the refit pipe, and the process sees EOF
-            # only once every copy is closed.
             refit, self._refit = self._refit, None
             await loop.run_in_executor(None, refit.close)
         self._stopped.set()

@@ -2,12 +2,17 @@
 
 import operator
 import os
+import threading
 
 import numpy as np
 import pytest
 
-from repro.engine import executors
+from repro.core.cells import CellGeometry
+from repro.core.dictionary import FlatCellDictionary
+from repro.engine import TaskFailedError, executors
 from repro.engine.executors import Engine
+
+from ..shm_guard import own_segments
 
 
 def square(x):
@@ -299,3 +304,76 @@ class TestErrorPropagation:
             # The persistent pool outlives a failed phase.
             assert engine.map_tasks(square, [2, 3]) == [4, 9]
             assert engine.pools_created == 1
+
+
+def run_bounded(call, timeout_s: float = 60.0):
+    """Return ``call()``'s result (or raise its exception), failing the
+    test if it has not returned within ``timeout_s``.
+
+    The call runs on a daemon thread, so a dispatch that waits forever
+    fails the test instead of hanging the suite.
+    """
+    outcome: dict = {}
+
+    def target():
+        try:
+            outcome["result"] = call()
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout_s)
+    if thread.is_alive():
+        pytest.fail(f"call still running after {timeout_s}s")
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
+
+
+def exit_on_one(x, flat):
+    """Task 1 kills the pool worker running it."""
+    if x == 1:
+        os._exit(3)
+    return x + flat.num_cells
+
+
+@pytest.fixture(scope="module")
+def small_flat():
+    rng = np.random.default_rng(5)
+    return FlatCellDictionary.from_points(
+        rng.uniform(0, 4, (500, 2)), CellGeometry(eps=0.5, dim=2, rho=0.05)
+    )
+
+
+class TestProcessLossWithoutPolicy:
+    """Without a fault policy a lost worker fails its phase: the death
+    watch sees it and the loop raises, where waiting for the lost
+    result would never return."""
+
+    def test_worker_death_fails_the_phase_naming_the_loss(self, small_flat):
+        with Engine("process", num_workers=2) as engine:
+            with pytest.raises(TaskFailedError, match="worker process died"):
+                run_bounded(
+                    lambda: engine.map_tasks(
+                        exit_on_one, [0, 1, 2, 3], broadcast=small_flat
+                    )
+                )
+            assert engine.counters.fault_total() == 0
+
+    def test_next_map_succeeds_and_close_leaves_no_segment(self, small_flat):
+        engine = Engine("process", num_workers=2, broadcast_channel="shm")
+        with pytest.raises(TaskFailedError):
+            run_bounded(
+                lambda: engine.map_tasks(
+                    exit_on_one, [0, 1, 2, 3], broadcast=small_flat
+                )
+            )
+        out = run_bounded(
+            lambda: engine.map_tasks(exit_on_one, [0, 2, 3], broadcast=small_flat)
+        )
+        assert out == [x + small_flat.num_cells for x in (0, 2, 3)]
+        assert engine.pools_created == 2
+        assert own_segments() != []
+        engine.close()
+        assert own_segments() == []

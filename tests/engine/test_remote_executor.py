@@ -6,8 +6,7 @@ drives them through ``Engine("remote", nodes=...)``:
 * **bit-identity** — a remote fit over 2 nodes produces labels
   identical to the serial engine's, across node broadcast channel ×
   Phase II kernel × broadcast form (the whole flat dictionary or its
-  budgeted shards), through both the fast path (no fault policy) and
-  the recovery loop;
+  budgeted shards), with and without a fault policy;
 * **one ship per node per epoch** — the engine's broadcast counters
   and each node's ledger row prove a broadcast value crossed the wire
   exactly once per node, however many ``map_tasks`` calls reuse it;
@@ -15,12 +14,16 @@ drives them through ``Engine("remote", nodes=...)``:
   labels, node-annotated attempt spans, and the node column/ledger in
   the rendered run report;
 * **teardown ordering** — a mid-phase ``close()`` from another thread
-  neither hangs nor leaks ``/dev/shm`` segments (process and remote).
+  neither hangs nor leaks ``/dev/shm`` segments (process and remote);
+* **failures without a policy** — a task's own exception reaches the
+  caller, and a node death fails the phase naming the node.
 """
 
 from __future__ import annotations
 
 import glob
+import os
+import signal
 import threading
 import time
 
@@ -28,11 +31,19 @@ import numpy as np
 import pytest
 
 from repro.core import RPDBSCAN
-from repro.engine import Engine, EngineClosedError, FaultPolicy, loopback_nodes
+from repro.engine import (
+    Engine,
+    EngineClosedError,
+    FaultPolicy,
+    TaskFailedError,
+    loopback_nodes,
+)
 from repro.engine.shm import SHM_NAME_PREFIX
 from repro.kernels import HAVE_NUMBA
 from repro.obs.report import render_run_report
 from repro.obs.spans import Tracer
+
+from .test_executors import boom, run_bounded
 
 KERNELS = ["numpy"] + (["numba"] if HAVE_NUMBA else [])
 
@@ -157,6 +168,31 @@ class TestRemoteMapTasks:
 
 def lambda_free_sum(x, b):
     return x + len(b)
+
+
+def kill_own_node(x):
+    """Task 1 SIGKILLs the node agent running it (its worker's parent)."""
+    if x == 1:
+        os.kill(os.getppid(), signal.SIGKILL)
+    return x
+
+
+class TestRemoteFailuresWithoutPolicy:
+    def test_task_error_reaches_the_caller(self, nodes):
+        with Engine("remote", nodes=nodes) as engine:
+            with pytest.raises(RuntimeError, match="task 2 failed"):
+                run_bounded(lambda: engine.map_tasks(boom, [2, 2, 2]))
+            assert engine.counters.fault_total() == 0
+
+    def test_node_death_fails_the_phase_naming_the_node(self):
+        # Own harness: this test kills one of its agents.
+        with loopback_nodes(num_nodes=2, workers=2) as addrs:
+            with Engine("remote", nodes=addrs) as engine:
+                with pytest.raises(TaskFailedError, match=r"node n[01] \("):
+                    run_bounded(
+                        lambda: engine.map_tasks(kill_own_node, [0, 1, 2, 3])
+                    )
+                assert engine.counters.fault_total() == 0
 
 
 # ----------------------------------------------------------------------

@@ -13,11 +13,10 @@ Covers the three layers of the ``shm`` channel:
   round trips, all-or-nothing creation, and label identity under a
   worker-side residency budget;
 * leak hygiene — after every scenario, including install failures
-  partway through segment creation, no ``rpdbscan_*`` segment remains
-  in ``/dev/shm``.
+  partway through segment creation, no ``rpdbscan_*`` segment this
+  process created remains in ``/dev/shm``.
 """
 
-import glob
 import threading
 
 import numpy as np
@@ -43,20 +42,16 @@ from repro.engine.shm import (
     import_broadcast_parts,
 )
 
+from ..shm_guard import own_segments
 from .test_faults import CHAOS_INJECTOR, _crash_once_injector
-
-
-def live_segments() -> list[str]:
-    """Names of this machine's live RP-DBSCAN shared-memory segments."""
-    return sorted(glob.glob(f"/dev/shm/{SHM_NAME_PREFIX}*"))
 
 
 @pytest.fixture(autouse=True)
 def no_leaked_segments():
     """Every test in this module must clean up its segments."""
-    assert live_segments() == []
+    assert own_segments() == []
     yield
-    assert live_segments() == []
+    assert own_segments() == []
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +142,7 @@ class TestExportImport:
         handle, segment = create_segment(flats)
         try:
             assert handle.name.startswith(SHM_NAME_PREFIX)
-            assert live_segments() == [f"/dev/shm/{handle.name}"]
+            assert own_segments() == [f"/dev/shm/{handle.name}"]
         finally:
             destroy_segment(segment)
 
@@ -168,9 +163,9 @@ class TestEngineChannels:
             assert shipped["shm_segment"] >= flat.cell_ids.nbytes
             assert "pickle" not in shipped
             # The segment is live while the pool can still map tasks...
-            assert len(live_segments()) == 1
+            assert len(own_segments()) == 1
         # ...and unlinked by close().
-        assert live_segments() == []
+        assert own_segments() == []
 
     def test_pickle_channel_counts_full_payload(self, flat):
         with Engine("process", num_workers=2, broadcast_channel="pickle") as engine:
@@ -208,9 +203,9 @@ class TestEngineChannels:
         )
         with Engine("process", num_workers=2, broadcast_channel="shm") as engine:
             engine.map_tasks(lookup_cell, list(range(4)), broadcast=flat, phase="q")
-            first = live_segments()
+            first = own_segments()
             engine.map_tasks(lookup_cell, list(range(4)), broadcast=other, phase="q")
-            second = live_segments()
+            second = own_segments()
             # One live segment at a time: the re-ship unlinked epoch 1.
             assert len(first) == 1 and len(second) == 1
             assert first != second
@@ -231,7 +226,7 @@ class TestLabelIdentityAcrossChannels:
             result = run("process", channel)
             np.testing.assert_array_equal(result.labels, serial.labels)
             np.testing.assert_array_equal(result.core_mask, serial.core_mask)
-        assert live_segments() == []
+        assert own_segments() == []
 
 
 class TestChaosSegmentHygiene:
@@ -256,8 +251,8 @@ class TestChaosSegmentHygiene:
             assert engine.broadcast_ships == 2
             assert engine.broadcast_epoch == 2
             assert engine.counters.broadcast_bytes["shm"] > 0
-            assert len(live_segments()) == 1
-        assert live_segments() == []
+            assert len(own_segments()) == 1
+        assert own_segments() == []
 
 
 class TestTrackerPatch:
@@ -364,7 +359,7 @@ class TestShardedSegments:
         with pytest.raises(OSError, match="synthetic"):
             create_sharded_segments(sharded)
         # The two segments created before the failure were reclaimed.
-        assert live_segments() == []
+        assert own_segments() == []
 
     def test_engine_install_failure_leaks_nothing(self, flat, monkeypatch):
         import repro.engine.shm as shm_mod
@@ -383,7 +378,7 @@ class TestShardedSegments:
                 )
             # The flat segment packed before the sharded failure was
             # reclaimed: an aborted install never strands a segment.
-            assert live_segments() == []
+            assert own_segments() == []
             monkeypatch.undo()
             # The engine survives the failed install — the same value
             # ships cleanly on retry.
@@ -394,7 +389,7 @@ class TestShardedSegments:
             for _, stats in engine.collect_broadcast_stats():
                 if stats["num_shards"]:
                     assert stats["peak_resident_bytes"] <= sharded.budget_bytes
-        assert live_segments() == []
+        assert own_segments() == []
 
 
 class TestBudgetedFitIdentity:
@@ -421,7 +416,7 @@ class TestBudgetedFitIdentity:
         assert workers  # process mode collected per-worker ledgers
         for stats in workers:
             assert stats["peak_resident_bytes"] <= budget
-        assert live_segments() == []
+        assert own_segments() == []
 
     def test_budgeted_fit_survives_chaos_respawn(self, blobs_with_noise):
         serial = RPDBSCAN(eps=0.3, min_pts=10, num_partitions=6, seed=0).fit(
@@ -453,4 +448,4 @@ class TestBudgetedFitIdentity:
         assert chaos.fault_events.get(FAULT_RESPAWNS, 0) >= 1
         for stats in chaos.broadcast_residency["workers"]:
             assert stats["peak_resident_bytes"] <= 4096
-        assert live_segments() == []
+        assert own_segments() == []

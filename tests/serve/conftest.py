@@ -2,30 +2,27 @@
 
 Every test here deals in processes and shared-memory segments, so the
 module-wide leak guard of the shm suite applies to all of them: a test
-that exits while a ``rpdbscan_*`` segment is still linked in
-``/dev/shm`` fails, whatever else it asserted.
+that exits while a segment this process created is still linked in
+``/dev/shm`` fails, whatever else it asserted.  Every segment of the
+in-process servers, pools, and models is created by the test process
+itself; segments of other processes (a benchmark's server) are not
+this suite's to count.
 """
-
-import glob
 
 import numpy as np
 import pytest
 
 from repro.core.rp_dbscan import RPDBSCAN
-from repro.engine.shm import SHM_NAME_PREFIX
 
-
-def live_segments() -> list[str]:
-    """Names of this machine's live RP-DBSCAN shared-memory segments."""
-    return sorted(glob.glob(f"/dev/shm/{SHM_NAME_PREFIX}*"))
+from ..shm_guard import own_segments
 
 
 @pytest.fixture(autouse=True)
 def no_leaked_segments():
     """Every serving test must clean up its segments."""
-    assert live_segments() == []
+    assert own_segments() == []
     yield
-    assert live_segments() == []
+    assert own_segments() == []
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ import pytest
 from repro.core.prediction import ClusterModel
 from repro.serve.pool import PredictorPool, ServePoolError
 
-from .conftest import live_segments
+from ..shm_guard import own_segments
 
 
 def _model(fitted_state, **kwargs):
@@ -26,8 +26,8 @@ class TestInstall:
             assert stats.warmup_seconds >= 0.0
             assert len(stats.workers) == 2
             assert len({pid for pid, _, _ in stats.workers}) == 2
-            assert len(live_segments()) == 1
-        assert live_segments() == []
+            assert len(own_segments()) == 1
+        assert own_segments() == []
 
     def test_predict_before_install_raises(self):
         with PredictorPool(num_workers=1) as pool:
@@ -37,13 +37,13 @@ class TestInstall:
     def test_reinstall_bumps_epoch_and_replaces_segment(self, fitted_state):
         with PredictorPool(num_workers=1) as pool:
             assert pool.install(_model(fitted_state)).epoch == 1
-            first_segment = live_segments()
+            first_segment = own_segments()
             assert pool.install(_model(fitted_state)).epoch == 2
-            second_segment = live_segments()
+            second_segment = own_segments()
             # Old epoch's segment is unlinked once all workers acked.
             assert len(second_segment) == 1
             assert second_segment != first_segment
-        assert live_segments() == []
+        assert own_segments() == []
 
 
 class TestPredict:
@@ -96,4 +96,4 @@ class TestWorkerDeath:
             epoch, labels = pool.predict(query_points)
             assert epoch == 1
             np.testing.assert_array_equal(labels, offline)
-        assert live_segments() == []
+        assert own_segments() == []

@@ -1,21 +1,29 @@
 """End-to-end predict server: TCP round trips, batching, ingest swap,
 admission control, stats, shutdown — all over the real socket path."""
 
+import glob
 import logging
 import os
 import pickle
 import signal
 import socket
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.prediction import ClusterModel
 from repro.core.serialization import (
     deserialize_cluster_state,
+    save_cluster_state,
     serialize_cluster_state,
 )
+from repro.engine.shm import SHM_NAME_PREFIX
 from repro.engine.remote.protocol import (
     HEADER_SIZE,
     MSG_INGEST_ACK,
@@ -32,7 +40,7 @@ from repro.serve import (
 )
 from repro.serve.wire import WireFormatError
 
-from .conftest import live_segments
+from ..shm_guard import own_segments
 
 
 class TestPredictPath:
@@ -45,7 +53,7 @@ class TestPredictPath:
                 labels = client.predict(query_points)
                 assert client.last_epoch == 1
                 np.testing.assert_array_equal(labels, offline)
-        assert live_segments() == []
+        assert own_segments() == []
 
     def test_non_finite_request_refused_alone(self, fitted_state, query_points):
         # One client sends a NaN point while others are in flight; only
@@ -86,7 +94,7 @@ class TestPredictPath:
         for key in ("good0", "good1", "good2", "after"):
             np.testing.assert_array_equal(outcomes[key], offline)
         assert stats["snapshot"]["serve.errors"] >= 1
-        assert live_segments() == []
+        assert own_segments() == []
 
     def test_many_clients_fuse_into_batches(self, fitted_state, query_points):
         offline = ClusterModel.from_state(fitted_state).predict(query_points)
@@ -179,7 +187,7 @@ class TestIngestSwap:
                 stats = client.stats()
         assert stats["epoch"] == 2
         assert stats["snapshot"]["serve.ingests"] == 1
-        assert live_segments() == []
+        assert own_segments() == []
 
     def test_served_labels_match_offline_after_swap(self, mutable_state):
         rng = np.random.default_rng(13)
@@ -238,7 +246,7 @@ class TestIngestSwap:
         np.testing.assert_array_equal(labels, offline)
         assert stats["epoch"] == 1
         assert stats["snapshot"]["serve.errors"] == 2
-        assert live_segments() == []
+        assert own_segments() == []
 
     def test_refused_refit_leaves_the_model_and_the_next_ingest_lands(
         self, mutable_state
@@ -332,7 +340,7 @@ class TestShutdown:
             with ServeClient(server.host, server.port) as client:
                 client.shutdown()
             server._stopped  # context manager exit must not double-stop
-        assert live_segments() == []
+        assert own_segments() == []
 
     def test_idle_connection_closes_cleanly(self, fitted_state, caplog):
         # A client still connected at shutdown: its handler must return
@@ -351,7 +359,76 @@ class TestShutdown:
                 idle.close()
         errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
         assert errors == []
-        assert live_segments() == []
+        assert own_segments() == []
+
+
+def _children(pid: int) -> list[int]:
+    """Pids whose parent is ``pid``, read from ``/proc``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as f:
+                ppid = int(f.read().rsplit(")", 1)[1].split()[1])
+        except (OSError, ValueError, IndexError):
+            continue
+        if ppid == pid:
+            found.append(int(entry))
+    return found
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` still runs; a zombie awaiting its reaper does not."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (OSError, IndexError):
+        return False
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+class TestKilledServer:
+    def test_children_exit_after_the_server_is_sigkilled(
+        self, fitted_state, tmp_path
+    ):
+        # SIGKILL gives the server no chance to stop its children: each
+        # must notice on its own, through its pipe reading EOF.
+        model = tmp_path / "model.rpst"
+        save_cluster_state(fitted_state, model)
+        src = Path(repro.__file__).resolve().parents[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "--model", str(model),
+             "--workers", "2"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+        )
+        try:
+            watchdog = threading.Timer(60.0, proc.kill)
+            watchdog.start()
+            ready = proc.stdout.readline()
+            watchdog.cancel()
+            assert "READY" in ready, ready
+            children = _children(proc.pid)
+        finally:
+            proc.kill()
+            proc.wait(timeout=10.0)
+            proc.stdout.close()
+        # The refit process and both predictor workers, at least.
+        assert len(children) >= 3
+        deadline = time.monotonic() + 10.0
+        survivors = [pid for pid in children if _running(pid)]
+        while survivors and time.monotonic() < deadline:
+            time.sleep(0.05)
+            survivors = [pid for pid in survivors if _running(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        # The killed server never unlinked its model's segment.
+        for path in glob.glob(f"/dev/shm/{SHM_NAME_PREFIX}{proc.pid:x}_*"):
+            os.unlink(path)
+        assert survivors == []
 
 
 class _Exploit:

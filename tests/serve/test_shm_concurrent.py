@@ -16,7 +16,7 @@ from repro.engine.shm import (
     import_broadcast,
 )
 
-from .conftest import live_segments
+from ..shm_guard import own_segments
 
 
 def _read_labels_from_segment(blob, handle, points, conn):
@@ -58,7 +58,7 @@ class TestConcurrentShmReaders:
                 np.testing.assert_array_equal(labels, offline)
         finally:
             destroy_segment(shm)
-        assert live_segments() == []
+        assert own_segments() == []
 
     def test_multiprocess_readers_share_one_segment(
         self, fitted_state, query_points
@@ -69,7 +69,7 @@ class TestConcurrentShmReaders:
         handle, shm = create_segment(flats)
         ctx = get_context("fork")
         try:
-            assert len(live_segments()) == 1
+            assert len(own_segments()) == 1
             pipes, procs = [], []
             for _ in range(3):
                 parent, child = ctx.Pipe(duplex=False)
@@ -88,10 +88,10 @@ class TestConcurrentShmReaders:
                 assert proc.exitcode == 0
             # All readers attached the one existing segment: nothing new
             # was created in /dev/shm.
-            assert len(live_segments()) == 1
+            assert len(own_segments()) == 1
         finally:
             destroy_segment(shm)
-        assert live_segments() == []
+        assert own_segments() == []
 
     def test_mixed_readers_while_driver_predicts(
         self, fitted_state, query_points
@@ -127,4 +127,4 @@ class TestConcurrentShmReaders:
             proc.join(timeout=30.0)
         finally:
             destroy_segment(shm)
-        assert live_segments() == []
+        assert own_segments() == []
