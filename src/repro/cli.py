@@ -161,7 +161,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 rho=args.rho,
                 seed=args.seed,
                 engine=engine,
-                merge_mode=args.merge,
                 broadcast_budget=args.broadcast_budget,
                 kernel=args.kernel,
             )
@@ -180,16 +179,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         print(f"  {phase}: {fraction:.1%}")
     stats = result.merge_stats
     if stats.num_rounds:
-        span_kind = "measured" if stats.span_is_measured else "modeled"
-        merge_line = (
-            f"  merge: mode={stats.mode} rounds={stats.num_rounds} "
-            f"span={stats.span_seconds() * 1000:.1f}ms ({span_kind}) "
+        print(
+            f"  merge: rounds={stats.num_rounds} "
+            f"span={stats.critical_path_seconds() * 1000:.1f}ms (modeled) "
             f"edges {stats.edges_per_round[0]}->{stats.edges_per_round[-1]}"
         )
-        shipped_total = sum(stats.bytes_shipped_per_round)
-        if shipped_total:
-            merge_line += f" shipped={shipped_total}B"
-        print(merge_line)
     if result.broadcast_bytes:
         shipped = " ".join(
             f"{channel}={nbytes}B"
@@ -443,14 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="ingest the point file as a memory-mapped source: partitions "
         "materialize per task instead of loading the data set up front",
-    )
-    engine_group.add_argument(
-        "--merge",
-        choices=("driver", "engine", "auto"),
-        default="auto",
-        help="Phase III-1 tournament scheduling: every match on the driver, "
-        "rounds dispatched through the engine, or a cost model picking per "
-        "run (default; labels are bit-identical either way)",
     )
     engine_group.add_argument(
         "--kernel",

@@ -41,12 +41,10 @@ from repro.core.labeling import (
     label_partition,
 )
 from repro.core.merging import (
-    MERGE_MODES,
     MergeStats,
     merge_match,
     merge_pair,
     progressive_merge,
-    resolve_merge_mode,
 )
 from repro.core.partitioning import (
     Partition,
@@ -56,13 +54,11 @@ from repro.core.partitioning import (
 from repro.core.prediction import ClusterModel
 from repro.core.region_query import CellBatchQueryResult, RegionQueryEngine
 from repro.core.serialization import (
-    deserialize_cell_graph,
     deserialize_cluster_state,
     deserialize_dictionary,
     deserialize_flat_dictionary,
     load_cluster_state,
     save_cluster_state,
-    serialize_cell_graph,
     serialize_cluster_state,
     serialize_dictionary,
 )
@@ -103,11 +99,9 @@ __all__ = [
     "label_partition",
     "NOISE",
     "MergeStats",
-    "MERGE_MODES",
     "merge_match",
     "merge_pair",
     "progressive_merge",
-    "resolve_merge_mode",
     "Partition",
     "pseudo_random_partition",
     "true_random_partition",
@@ -119,8 +113,6 @@ __all__ = [
     "serialize_dictionary",
     "deserialize_dictionary",
     "deserialize_flat_dictionary",
-    "serialize_cell_graph",
-    "deserialize_cell_graph",
     "serialize_cluster_state",
     "deserialize_cluster_state",
     "save_cluster_state",

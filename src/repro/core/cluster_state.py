@@ -180,8 +180,6 @@ class ClusterState:
         bit-identical.
     candidate_strategy:
         Candidate-cell search strategy, likewise reused.
-    merge_mode:
-        Phase III-1 scheduling for ingest's dirty-subgraph tournament.
     num_tasks:
         Task fan-out for ingest's engine-mapped phases.
     """
@@ -198,7 +196,6 @@ class ClusterState:
     counts: np.ndarray
     kernel: str = "numpy"
     candidate_strategy: str = "auto"
-    merge_mode: str = "auto"
     num_tasks: int = 8
 
     # ------------------------------------------------------------------
@@ -236,7 +233,6 @@ class ClusterState:
         *,
         kernel: str = "numpy",
         candidate_strategy: str = "auto",
-        merge_mode: str = "auto",
         num_tasks: int = 8,
     ) -> "ClusterState":
         """The state of a fit on zero points (everything empty)."""
@@ -254,7 +250,6 @@ class ClusterState:
             counts=np.empty(0, dtype=np.float64),
             kernel=kernel,
             candidate_strategy=candidate_strategy,
-            merge_mode=merge_mode,
             num_tasks=num_tasks,
         )
 
@@ -288,7 +283,6 @@ class ClusterState:
         *,
         engine=None,
         num_tasks: int | None = None,
-        merge_mode: str | None = None,
     ) -> IngestReport:
         """Append ``new_points`` and refit only what they can affect.
 
@@ -307,9 +301,6 @@ class ClusterState:
             Phase II / III work; a fresh serial engine when ``None``.
         num_tasks:
             Fan-out for the mapped phases (default: the state's).
-        merge_mode:
-            Tournament scheduling for the delta-subgraph merge
-            (default: the state's).
         """
         # Local import: the engine package imports core modules.
         from repro.engine.executors import Engine
@@ -347,10 +338,9 @@ class ClusterState:
             )
         engine = engine if engine is not None else Engine("serial")
         tasks = int(num_tasks) if num_tasks is not None else self.num_tasks
-        mode = merge_mode if merge_mode is not None else self.merge_mode
         start_total = time.perf_counter()
         with engine.tracer.span("ingest", "driver"):
-            report = self._ingest_traced(pts, engine, tasks, mode)
+            report = self._ingest_traced(pts, engine, tasks)
         report.total_seconds = time.perf_counter() - start_total
         spans = engine.tracer.find(kind="driver", name="ingest")
         if spans:
@@ -365,7 +355,7 @@ class ClusterState:
             )
         return report
 
-    def _ingest_traced(self, pts, engine, num_tasks, merge_mode) -> IngestReport:
+    def _ingest_traced(self, pts, engine, num_tasks) -> IngestReport:
         geometry = self.geometry
         old_dict = self.dictionary
         n1 = self.points.shape[0]
@@ -430,10 +420,7 @@ class ClusterState:
         delta_graphs = [r.graph for r in results]
         edges_recomputed = sum(g.num_edges for g in delta_graphs)
         delta_graph, _ = progressive_merge(
-            delta_graphs,
-            merge_mode=merge_mode,
-            engine=engine,
-            phase=PHASE_INGEST_MERGE,
+            delta_graphs, engine=engine, phase=PHASE_INGEST_MERGE
         )
 
         # ---- Splice: old graph + delta edges --------------------------

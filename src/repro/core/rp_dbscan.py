@@ -32,12 +32,7 @@ from repro.core.labeling import (
     build_labeling_context,
     label_partition,
 )
-from repro.core.merging import (
-    MERGE_MODES,
-    PHASE_MERGE,
-    MergeStats,
-    progressive_merge,
-)
+from repro.core.merging import PHASE_MERGE, MergeStats, progressive_merge
 from repro.core.partitioning import Partition, pseudo_random_partition
 from repro.core.sharding import PartialFlatDictionary, ShardedFlatDictionary
 from repro.data.streaming import PointSource, as_point_source
@@ -326,12 +321,6 @@ class RPDBSCAN:
         bit-identical to a full-broadcast run.  When
         ``defragment_capacity`` is unset, a capacity is derived from the
         budget so several shards fit under it at once.
-    merge_mode:
-        Phase III-1 tournament scheduling: ``"driver"`` runs every match
-        on the driver, ``"engine"`` dispatches each round's matches
-        through the engine, ``"auto"`` (default) picks per run via a
-        cost model (engine only for process engines with enough work).
-        The clustering is bit-identical across modes.
 
     Examples
     --------
@@ -360,7 +349,6 @@ class RPDBSCAN:
         fault_policy: FaultPolicy | None = None,
         defragment_capacity: int | None = None,
         broadcast_budget: int | None = None,
-        merge_mode: str = "auto",
     ) -> None:
         if eps <= 0:
             raise ValueError("eps must be positive")
@@ -368,10 +356,6 @@ class RPDBSCAN:
             raise ValueError("min_pts must be >= 1")
         if num_partitions < 1:
             raise ValueError("num_partitions must be >= 1")
-        if merge_mode not in MERGE_MODES:
-            raise ValueError(
-                f"merge_mode must be one of {MERGE_MODES}, got {merge_mode!r}"
-            )
         if broadcast_budget is not None and broadcast_budget < 1:
             raise ValueError("broadcast_budget must be >= 1 byte")
         self.eps = float(eps)
@@ -392,7 +376,6 @@ class RPDBSCAN:
             self.engine.fault_policy = fault_policy
         self.defragment_capacity = defragment_capacity
         self.broadcast_budget = broadcast_budget
-        self.merge_mode = merge_mode
 
     def fit(self, points: np.ndarray | PointSource) -> RPDBSCANResult:
         """Cluster ``points`` and return the full result object.
@@ -466,7 +449,6 @@ class RPDBSCAN:
             self.min_pts,
             kernel=self.kernel,
             candidate_strategy=self.candidate_strategy,
-            merge_mode=self.merge_mode,
             num_tasks=self.num_partitions,
         )
 
@@ -686,13 +668,11 @@ class RPDBSCAN:
         """
         counters = self.engine.counters
         tracer = self.engine.tracer
-        # progressive_merge owns the Phase III-1 accounting: driver-mode
-        # tournaments run inside one driver span, engine-mode ones open
-        # per-round phase spans via map_tasks (all in the PHASE_MERGE
-        # counter bucket).  Only the labeling-context build stays here.
-        graphs = [r.graph for r in subgraph_results]
+        # progressive_merge owns the Phase III-1 accounting: the
+        # tournament runs inside one driver span carrying its round
+        # ledger.  Only the labeling-context build stays here.
         global_graph, merge_stats = progressive_merge(
-            graphs, merge_mode=self.merge_mode, engine=self.engine
+            [r.graph for r in subgraph_results], engine=self.engine
         )
         with counters.timed_phase(PHASE_MERGE), tracer.span(
             f"{PHASE_MERGE} (labeling context)", "driver", phase=PHASE_MERGE

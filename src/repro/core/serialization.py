@@ -31,8 +31,6 @@ __all__ = [
     "serialize_dictionary",
     "deserialize_dictionary",
     "deserialize_flat_dictionary",
-    "serialize_cell_graph",
-    "deserialize_cell_graph",
     "serialize_cluster_state",
     "deserialize_cluster_state",
     "save_cluster_state",
@@ -232,60 +230,13 @@ def deserialize_flat_dictionary(data: bytes) -> FlatCellDictionary:
 
 
 # ----------------------------------------------------------------------
-# Cell-graph payloads (Phase III-1 engine tournament)
-# ----------------------------------------------------------------------
-
-_GRAPH_MAGIC = b"RPGF"
-
-
-def serialize_cell_graph(graph: FlatCellGraph) -> bytes:
-    """Encode a cell (sub)graph for an engine merge-task payload.
-
-    A 4-byte magic plus an npz archive of the graph's columns (status,
-    edge list, pending indices, union-find parents) — compact,
-    pickle-free, and exactly round-trippable.
-    """
-    if not isinstance(graph, FlatCellGraph):
-        raise TypeError(
-            f"serialize_cell_graph takes a FlatCellGraph, got {type(graph).__name__}"
-        )
-    buffer = io.BytesIO()
-    np.savez(
-        buffer,
-        status=graph.status,
-        src=graph.src,
-        dst=graph.dst,
-        etype=graph.etype,
-        pending=np.asarray(graph._pending, dtype=np.int64),
-        parent=graph._forest.to_array(),
-    )
-    return _GRAPH_MAGIC + buffer.getvalue()
-
-
-def deserialize_cell_graph(data: bytes) -> FlatCellGraph:
-    """Inverse of :func:`serialize_cell_graph`.  Any other magic raises
-    ``ValueError``; no payload is ever unpickled."""
-    magic = data[:4]
-    if magic != _GRAPH_MAGIC:
-        raise ValueError(f"unknown cell-graph stream magic {magic!r}")
-    with np.load(io.BytesIO(data[4:]), allow_pickle=False) as archive:
-        return FlatCellGraph.from_arrays(
-            archive["status"],
-            archive["src"],
-            archive["dst"],
-            archive["etype"],
-            pending=archive["pending"].tolist(),
-            forest=ArrayUnionFind.from_array(archive["parent"]),
-        )
-
-
-# ----------------------------------------------------------------------
 # Model-plane state (`RPST`): the persistent ClusterState
 # ----------------------------------------------------------------------
 
 _STATE_MAGIC = b"RPST"
-#: Version 2 added the per-point neighbor counts (the last array).
-_STATE_VERSION = 2
+#: Version 2 added the per-point neighbor counts (the last array);
+#: version 3 dropped the merge-mode string after the candidate strategy.
+_STATE_VERSION = 3
 # magic, version, eps, rho, dim, min_pts, num_tasks
 _STATE_HEADER = struct.Struct("<4sHddiii")
 
@@ -343,7 +294,7 @@ def serialize_cluster_state(state) -> bytes:
     The stream is **byte-stable**: serializing the same state twice (or
     a loaded copy of it) yields identical bytes, so model artifacts can
     be content-addressed and diffed.  Layout: fixed header (geometry +
-    fit parameters), three length-prefixed config strings, then every
+    fit parameters), two length-prefixed config strings, then every
     state array in a fixed order through the raw deterministic framing
     of :func:`_write_array` — dictionary columns, graph columns
     (including the union-find forest and pending-edge worklist, so a
@@ -366,7 +317,6 @@ def serialize_cluster_state(state) -> bytes:
     )
     _write_str(out, state.kernel)
     _write_str(out, state.candidate_strategy)
-    _write_str(out, state.merge_mode)
     dictionary = state.dictionary
     graph = state.graph
     for array in (
@@ -409,7 +359,6 @@ def deserialize_cluster_state(data: bytes):
     offset = _STATE_HEADER.size
     kernel, offset = _read_str(data, offset)
     candidate_strategy, offset = _read_str(data, offset)
-    merge_mode, offset = _read_str(data, offset)
     arrays = []
     for _ in range(17):
         array, offset = _read_array(data, offset)
@@ -442,7 +391,6 @@ def deserialize_cluster_state(data: bytes):
         counts=counts,
         kernel=kernel,
         candidate_strategy=candidate_strategy,
-        merge_mode=merge_mode,
         num_tasks=num_tasks,
     )
     state.validate()

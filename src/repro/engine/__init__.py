@@ -49,9 +49,10 @@ span trace converts directly into such a replay via
 Observability is opt-in via :mod:`repro.obs`: pass a
 :class:`~repro.obs.spans.Tracer` to the engine to record the full
 phase → task → attempt span timeline (with fault events), and
-``profile=True`` for merged per-task cProfile capture.  The legacy
-:class:`~repro.engine.counters.Counters` is now a compatibility shim
-over :class:`~repro.obs.metrics.MetricsRegistry`.
+``profile=True`` for merged per-task cProfile capture.  Every engine
+keeps its run records (per-task stats, phase and setup buckets, fault
+events, broadcast bytes, the merge-round ledger) in a
+:class:`~repro.engine.counters.Counters`.
 """
 
 from repro.engine.counters import DRIVER_WORKER, Counters, CountersMark, TaskStats

@@ -104,11 +104,10 @@ class Counters:
     #: the engine's broadcast fan-outs; no timing semantics.
     broadcast_bytes: dict[str, int] = field(default_factory=dict)
     #: Phase III-1 merge-round ledger: one dict per tournament round
-    #: (``resolved``, ``removed``, ``bytes_shipped``, ``wall_s``),
-    #: recorded by :func:`~repro.core.merging.progressive_merge` in both
-    #: driver and engine modes (``bytes_shipped`` is 0 on the driver).
-    #: Like the fault ledger these rows never enter :meth:`breakdown` —
-    #: round wall time already lands in the Phase III-1 bucket.
+    #: (``resolved``, ``removed``, ``wall_s``), recorded by
+    #: :func:`~repro.core.merging.progressive_merge`.  Like the fault
+    #: ledger these rows never enter :meth:`breakdown` — round wall time
+    #: already lands in the Phase III-1 bucket.
     merge_rounds: list[dict] = field(default_factory=list)
 
     def record_task(self, phase: str, stats: TaskStats) -> None:
@@ -137,17 +136,10 @@ class Counters:
         """Total broadcast bytes across every channel."""
         return sum(self.broadcast_bytes.values())
 
-    def add_merge_round(
-        self, *, resolved: int, removed: int, bytes_shipped: int, wall_s: float
-    ) -> None:
+    def add_merge_round(self, *, resolved: int, removed: int, wall_s: float) -> None:
         """Record one Phase III-1 tournament round in the merge ledger."""
         self.merge_rounds.append(
-            {
-                "resolved": resolved,
-                "removed": removed,
-                "bytes_shipped": bytes_shipped,
-                "wall_s": wall_s,
-            }
+            {"resolved": resolved, "removed": removed, "wall_s": wall_s}
         )
 
     def fault_event_count(self, kind: str) -> int:

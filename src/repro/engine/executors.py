@@ -1019,7 +1019,6 @@ class Engine:
         *,
         broadcast: Any = None,
         phase: str = "map",
-        trace_phase: str | None = None,
         item_counter: Callable[[Any], int] | None = None,
         warmup: Callable[[Any], Any] | None = None,
     ) -> list[Any]:
@@ -1039,14 +1038,8 @@ class Engine:
             distinct value (identity-compared): passing the same object
             to consecutive calls reuses the per-worker cache.
         phase:
-            Counter bucket for the task stats.
-        trace_phase:
-            Optional display name for this call's spans (phase span
-            name, task/attempt phase coordinates, fault-injector phase
-            key).  Defaults to ``phase``.  Lets repeated calls within
-            one logical phase — e.g. tournament rounds of Phase III-1 —
-            show up as distinct spans while their time still aggregates
-            into the single ``phase`` counter bucket.
+            Counter bucket for the task stats, the name of this call's
+            phase span, and the fault injector's phase key.
         item_counter:
             Optional function mapping a *task* to the number of items it
             carries, recorded in :class:`TaskStats` for the duplication
@@ -1103,8 +1096,7 @@ class Engine:
             fn,
             tasks,
             substrate=substrate_type(self, broadcast, wants_broadcast, warmup),
-            phase=trace_phase if trace_phase is not None else phase,
-            counter_phase=phase,
+            phase=phase,
             item_counter=item_counter,
         )
 
@@ -1119,7 +1111,6 @@ class Engine:
         *,
         substrate: _Substrate,
         phase: str,
-        counter_phase: str,
         item_counter: Callable[[Any], int] | None,
     ) -> list[Any]:
         """The driver-side dispatch loop every ``map_tasks`` call runs.
@@ -1142,8 +1133,6 @@ class Engine:
         completes, or at most ``poll_interval_s``, which paces the watch
         for lost workers, timeouts, and stragglers.  Phase time excludes
         recovery overhead, which is accounted as engine setup.
-        ``phase`` is the display/injector label (``trace_phase`` of
-        :meth:`map_tasks`); ``counter_phase`` is the counter bucket.
         """
         policy = self.fault_policy or _NO_POLICY
         injector = policy.injector
@@ -1461,7 +1450,7 @@ class Engine:
                                 results[task_id] = result
                                 durations.append(elapsed)
                                 self._record(
-                                    counter_phase, task_id, tasks[task_id],
+                                    phase, task_id, tasks[task_id],
                                     elapsed, item_counter, worker,
                                 )
                     elif (
@@ -1550,7 +1539,7 @@ class Engine:
             else:
                 tracer.end_span(phase_span)
             self.counters.add_phase_time(
-                counter_phase, time.perf_counter() - start - recovery_setup
+                phase, time.perf_counter() - start - recovery_setup
             )
         return results
 

@@ -15,10 +15,13 @@ damage detection — is the battle-tested local code path) and speaks the
   one copy per machine, shm fans it out per worker — sharded
   ``broadcast_budget`` payloads included, since the local engine's
   channel already handles them.
-* **TASK** — fn and task arrive pickled; the agent rewrites the
+* **TASK** — fn and task arrive as pickle blobs that the agent
+  forwards undecoded (a pool worker unpickles them, so the agent's
+  event loop never imports a task module); the agent rewrites the
   driver's broadcast epoch to the local pool epoch and submits to its
-  pool.  Results (or failures) stream back as RESULT frames as they
-  complete — the agent never serializes the phase.
+  pool.  Results (or failures) stream back as RESULT frames, tagged
+  with the driver's flight id, as they complete — the agent never
+  serializes the phase.
 * **Local fault tolerance** — a watchdog notices local worker death
   (``_pool_damaged``), respawns the pool, re-installs the current
   broadcast, and fails the in-flight tasks back to the driver with a
@@ -54,6 +57,19 @@ from repro.engine.faults import CRASH_EXIT_CODE, FaultInjector, StaleBroadcastEr
 from repro.engine.remote import protocol as proto
 
 __all__ = ["NodeAgent"]
+
+
+def _run_encoded_task(payload: tuple) -> tuple:
+    """Pool-worker body of one remote attempt: unpickle the driver's fn
+    and task blobs here, then run :func:`_run_task`.  A payload that
+    cannot be decoded fails as the task's own error."""
+    fn_blob, task_id, task_blob, *rest = payload
+    try:
+        fn = pickle.loads(fn_blob)
+        task = pickle.loads(task_blob)
+    except Exception as exc:
+        raise RuntimeError(f"could not unpickle task {task_id}: {exc!r}") from None
+    return _run_task((fn, task_id, task, *rest))
 
 
 class NodeAgent:
@@ -105,8 +121,9 @@ class NodeAgent:
         # re-install without a network round trip.
         self._epoch_map: dict[int, int] = {}
         self._installed: tuple[int, Any, Any] | None = None
-        # (task_id, attempt) -> task message, for respawn notification.
-        self._pending: dict[tuple[int, int], dict] = {}
+        # Flight id -> task message of the attempts the current driver
+        # connection is waiting on.
+        self._pending: dict[int, dict] = {}
         self._writer: asyncio.StreamWriter | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.base_events.Server | None = None
@@ -164,6 +181,8 @@ class NodeAgent:
         previous, self._writer = self._writer, writer
         if previous is not None:
             previous.close()
+        # The attempts of a superseded connection answer no one now.
+        self._pending = {}
         heartbeat = asyncio.create_task(self._heartbeat(writer))
         try:
             while True:
@@ -288,7 +307,6 @@ class NodeAgent:
         self, writer: asyncio.StreamWriter, payload: bytes
     ) -> None:
         msg = pickle.loads(payload)
-        key = (msg["task_id"], msg["attempt"])
         if not await self._apply_node_chaos(msg["phase"], writer):
             return  # connection dropped by chaos; driver will requeue
         # A local pool respawn holds the lock: wait for the new pool and
@@ -302,7 +320,7 @@ class NodeAgent:
             local_epoch = self._epoch_map.get(epoch)
             if local_epoch is None:
                 self._send_failure(
-                    key,
+                    msg,
                     error=StaleBroadcastError(
                         f"node {self.node_id}: driver epoch {epoch} is not "
                         "installed"
@@ -310,54 +328,37 @@ class NodeAgent:
                     requeue=True,
                 )
                 return
-        try:
-            fn = pickle.loads(msg["fn"])
-            task = pickle.loads(msg["task"])
-        except Exception as exc:
-            # A payload this node cannot decode is the task's failure,
-            # not the node's: report it, keep the connection alive.
-            self._send_failure(
-                key,
-                error=RuntimeError(
-                    f"node {self.node_id}: could not unpickle task "
-                    f"{msg['task_id']}: {exc!r}"
-                ),
-                requeue=False,
-            )
-            return
         worker_payload = (
-            fn, msg["task_id"], task, local_epoch, msg["phase"],
+            msg["fn"], msg["task_id"], msg["task"], local_epoch, msg["phase"],
             msg["attempt"], msg.get("injector"), bool(msg.get("profile")),
         )
-        self._pending[key] = msg
+        self._pending[msg["flight"]] = msg
         loop = self._loop
 
-        def on_done(res: Any, key: tuple[int, int] = key) -> None:
-            loop.call_soon_threadsafe(self._complete, key, res, None)
+        def on_done(res: Any, msg: dict = msg) -> None:
+            loop.call_soon_threadsafe(self._complete, msg, res, None)
 
-        def on_error(exc: BaseException, key: tuple[int, int] = key) -> None:
-            loop.call_soon_threadsafe(self._complete, key, None, exc)
+        def on_error(exc: BaseException, msg: dict = msg) -> None:
+            loop.call_soon_threadsafe(self._complete, msg, None, exc)
 
         self.engine._pool.apply_async(
-            _run_task, (worker_payload,),
+            _run_encoded_task, (worker_payload,),
             callback=on_done, error_callback=on_error,
         )
 
-    def _complete(
-        self, key: tuple[int, int], res: Any, exc: BaseException | None
-    ) -> None:
-        if key not in self._pending:
-            return  # already answered by a respawn notification
+    def _complete(self, msg: dict, res: Any, exc: BaseException | None) -> None:
+        if self._pending.get(msg["flight"]) is not msg:
+            return  # already answered as lost, or its connection is gone
         if exc is not None:
             requeue = isinstance(exc, StaleBroadcastError)
-            self._send_failure(key, error=exc, requeue=requeue)
+            self._send_failure(msg, error=exc, requeue=requeue)
             return
-        del self._pending[key]
+        del self._pending[msg["flight"]]
         task_id, result, elapsed, pid, _start_ts, blob = res
         self.tasks_run += 1
         body = {
+            "flight": msg["flight"],
             "task_id": task_id,
-            "attempt": key[1],
             "ok": True,
             "result": pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL),
             "elapsed": elapsed,
@@ -367,16 +368,16 @@ class NodeAgent:
         self._post(proto.MSG_RESULT, body)
 
     def _send_failure(
-        self, key: tuple[int, int], *, error: BaseException, requeue: bool
+        self, msg: dict, *, error: BaseException, requeue: bool
     ) -> None:
-        self._pending.pop(key, None)
+        self._pending.pop(msg["flight"], None)
         try:
             error_blob = pickle.dumps(error)
         except Exception:
             error_blob = pickle.dumps(RuntimeError(repr(error)))
         body = {
-            "task_id": key[0],
-            "attempt": key[1],
+            "flight": msg["flight"],
+            "task_id": msg["task_id"],
             "ok": False,
             "error": error_blob,
             "requeue": requeue,
@@ -420,8 +421,15 @@ class NodeAgent:
                 async with self._install_lock:
                     lost, self._pending = self._pending, {}
                     self._epoch_map = {}
-                    for key in lost:
-                        self._notify_lost(key)
+                    for msg in lost.values():
+                        self._send_failure(
+                            msg,
+                            error=RuntimeError(
+                                f"node {self.node_id}: a local worker died; "
+                                "attempt lost, pool respawning"
+                            ),
+                            requeue=True,
+                        )
                     await asyncio.get_running_loop().run_in_executor(
                         None, self._respawn
                     )
@@ -436,17 +444,6 @@ class NodeAgent:
             self.engine._ship_broadcast(value, warmup)
             self._epoch_map = {epoch: self.engine._shipped_epoch}
         self.respawns += 1
-
-    def _notify_lost(self, key: tuple[int, int]) -> None:
-        self._pending[key] = None  # re-arm so _send_failure pops cleanly
-        self._send_failure(
-            key,
-            error=RuntimeError(
-                f"node {self.node_id}: a local worker died; "
-                "attempt lost, pool respawning"
-            ),
-            requeue=True,
-        )
 
     async def _apply_node_chaos(
         self, phase: str, writer: asyncio.StreamWriter

@@ -31,6 +31,7 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import contextlib
+import itertools
 import pickle
 import threading
 import time
@@ -196,8 +197,11 @@ class RemoteCluster:
         self.reconnect_interval_s = reconnect_interval_s
         self._monitor = proto.HeartbeatMonitor(heartbeat_timeout_s, clock=clock)
         self._lock = threading.Lock()
-        #: (node_id, task_id, attempt) -> concurrent future of the body.
-        self._pending: dict[tuple[int, int, int], concurrent.futures.Future] = {}
+        #: Flight id -> (node id, concurrent future of the RESULT body).
+        #: Every submitted attempt gets a fresh id, so a late answer of
+        #: an abandoned attempt can never resolve a later one.
+        self._pending: dict[int, tuple[int, concurrent.futures.Future]] = {}
+        self._flight_ids = itertools.count()
         #: Death events not yet consumed by the substrate: (node, reason).
         self._death_events: list[tuple[RemoteNode, str]] = []
         #: Nodes that rejoined and have not been re-equipped yet.
@@ -236,7 +240,7 @@ class RemoteCluster:
             if self._closed:
                 return
             self._closed = True
-            pending = list(self._pending.values())
+            pending = [future for _, future in self._pending.values()]
             self._pending.clear()
         for future in pending:
             if not future.done():
@@ -319,9 +323,8 @@ class RemoteCluster:
                 self._monitor.beat(node.node_id)
                 if msg_type == proto.MSG_RESULT:
                     body = pickle.loads(payload)
-                    key = (node.node_id, body["task_id"], body["attempt"])
                     with self._lock:
-                        future = self._pending.pop(key, None)
+                        _, future = self._pending.pop(body["flight"], (None, None))
                         if future is not None and body["ok"]:
                             node.tasks_done += 1
                     if future is not None and not future.done():
@@ -377,12 +380,10 @@ class RemoteCluster:
             node.shipped_epoch = None
             self._death_events.append((node, reason))
             lost = [
-                (key, future)
-                for key, future in self._pending.items()
-                if key[0] == node.node_id
+                self._pending.pop(flight)
+                for flight, (node_id, _) in list(self._pending.items())
+                if node_id == node.node_id
             ]
-            for key, _ in lost:
-                del self._pending[key]
         self._monitor.forget(node.node_id)
         for msg_type, future in list(self._ack_box(node).items()):
             self._ack_box(node).pop(msg_type, None)
@@ -484,7 +485,16 @@ class RemoteCluster:
     ) -> _RemoteFlightResult:
         """Dispatch one task attempt to ``node``; returns a flight whose
         ``ready()``/``get()`` mirror a pool ``AsyncResult``."""
+        future: concurrent.futures.Future = concurrent.futures.Future()
+        with self._lock:
+            if self._closed:
+                raise EngineClosedError("submit on a closed remote cluster")
+            if not node.alive:
+                raise NodeDeathError(f"node {node.label} is dead")
+            flight = next(self._flight_ids)
+            self._pending[flight] = (node.node_id, future)
         body = {
+            "flight": flight,
             "task_id": task_id,
             "attempt": attempt,
             "epoch": epoch,
@@ -494,14 +504,6 @@ class RemoteCluster:
             "injector": injector,
             "profile": profile,
         }
-        key = (node.node_id, task_id, attempt)
-        future: concurrent.futures.Future = concurrent.futures.Future()
-        with self._lock:
-            if self._closed:
-                raise EngineClosedError("submit on a closed remote cluster")
-            if not node.alive:
-                raise NodeDeathError(f"node {node.label} is dead")
-            self._pending[key] = future
         blob = pickle.dumps(body, protocol=pickle.HIGHEST_PROTOCOL)
 
         async def send() -> None:

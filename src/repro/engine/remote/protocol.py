@@ -67,7 +67,8 @@ __all__ = [
 ]
 
 #: Bump on any incompatible change to framing or message payloads.
-PROTOCOL_VERSION = 1
+#: Version 2: TASK and RESULT bodies carry the driver's flight id.
+PROTOCOL_VERSION = 2
 
 FRAME_MAGIC = b"RPDN"
 _HEADER = struct.Struct(">4sHHQ")

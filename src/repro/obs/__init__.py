@@ -7,14 +7,15 @@ authors: who ran what, when, where, and what it cost.
   fit → phase → task → attempt timeline with fault-event annotations;
   :data:`NULL_TRACER` keeps untraced runs at no-op cost.
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` with counters,
-  gauges, and fixed-bucket histograms; the legacy
-  :class:`~repro.engine.counters.Counters` is now a compatibility shim
-  mirroring into one of these.
+  gauges, and fixed-bucket histograms: the serve plane's live metrics
+  and the tracer's optional attempt histograms.  A fit's run records
+  (per-task rows, phase buckets, the merge-round ledger) stay in
+  :class:`~repro.engine.counters.Counters`.
 * :mod:`repro.obs.exporters` — JSONL span logs (round-trippable) and
   Chrome ``trace_event`` JSON for ``chrome://tracing`` / Perfetto.
 * :mod:`repro.obs.report` — the human-readable run report: phase
-  breakdown, worker utilization, critical path, stragglers, fault
-  ledger.
+  breakdown, worker utilization, critical path, merge-round ledger,
+  stragglers, fault ledger.
 * :mod:`repro.obs.profiling` — opt-in per-task ``cProfile`` capture
   merged across workers into one ``pstats`` view.
 

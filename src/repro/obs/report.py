@@ -18,6 +18,8 @@ report the paper's efficiency analysis wants at a glance:
 * **node broadcast ledger** — remote runs only: one row per node per
   broadcast epoch, showing the substrate shipped each value exactly
   once per node;
+* **merge-round ledger** — one row per Phase III-1 tournament round:
+  matches, edges in and out, edges resolved and removed, round wall;
 * **ingest ledger** — one row per incremental refit
   (:meth:`~repro.core.cluster_state.ClusterState.ingest`): cells
   reconsidered out of the union total, edges recomputed vs retained,
@@ -258,32 +260,29 @@ def node_ledger_rows(spans: list[Span]) -> list[list]:
 
 
 def merge_ledger_rows(spans: list[Span]) -> list[list]:
-    """One row per engine-scheduled Phase III-1 tournament round.
+    """One row per Phase III-1 tournament round, in trace order.
 
-    Rendered from the per-round phase spans the engine tournament
-    annotates (``merge_round`` et al.); driver-mode tournaments — whose
-    span is modeled, not measured — record no round spans and produce no
-    rows (their per-round accounting lives in ``MergeStats``).
+    Rendered from the ``merge_rounds`` list
+    :func:`~repro.core.merging.progressive_merge` annotates its driver
+    span with (:meth:`~repro.core.merging.MergeStats.round_ledger`).  A
+    one-partition fit runs no round and adds no row.
     """
     rows = []
     for span in spans:
-        if span.kind != "phase" or "merge_round" not in span.annotations:
+        if span.kind != "driver":
             continue
-        notes = span.annotations
-        shipped = notes.get("bytes_shipped")
-        rows.append(
-            [
-                notes.get("merge_round"),
-                notes.get("matches"),
-                notes.get("edges_in"),
-                notes.get("edges_out"),
-                notes.get("resolved"),
-                notes.get("removed"),
-                f"{shipped} B" if shipped is not None else None,
-                format_duration(span.duration_s),
-            ]
-        )
-    rows.sort(key=lambda row: (row[0] is None, row[0]))
+        for notes in span.annotations.get("merge_rounds", ()):
+            rows.append(
+                [
+                    notes["round"],
+                    notes["matches"],
+                    notes["edges_in"],
+                    notes["edges_out"],
+                    notes["resolved"],
+                    notes["removed"],
+                    format_duration(float(notes["wall_s"])),
+                ]
+            )
     return rows
 
 
@@ -551,13 +550,10 @@ def render_run_report(spans: list[Span], *, title: str = "run report") -> str:
             format_table(
                 [
                     "round", "matches", "edges in", "edges out",
-                    "resolved", "removed", "shipped", "wall",
+                    "resolved", "removed", "wall",
                 ],
                 rows,
-                title=(
-                    "merge-round ledger "
-                    "(engine-scheduled tournament, measured walls)"
-                ),
+                title="merge-round ledger (Phase III-1 tournament on the driver)",
             )
         )
 

@@ -476,7 +476,6 @@ class TestRPSTRoundTrip:
         assert loaded.min_pts == state.min_pts
         assert loaded.kernel == state.kernel
         assert loaded.candidate_strategy == state.candidate_strategy
-        assert loaded.merge_mode == state.merge_mode
         assert loaded.num_tasks == state.num_tasks
         assert loaded.geometry.eps == state.geometry.eps
         assert loaded.geometry.dim == state.geometry.dim
@@ -522,10 +521,13 @@ class TestRPSTRoundTrip:
         blob = serialize_cluster_state(state)
         assert blob.endswith(struct.pack("<q", state.num_points) + payload)
 
-    def test_refuses_version_1_streams(self):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_refuses_older_versions(self, version):
+        # Version 1 lacks the neighbor counts; version 2 still carries
+        # the merge-mode string after the candidate strategy.
         blob = bytearray(serialize_cluster_state(_fit(_blobs(47, 120)).state))
-        blob[4:6] = struct.pack("<H", 1)
-        with pytest.raises(ValueError, match="RPST version 1"):
+        blob[4:6] = struct.pack("<H", version)
+        with pytest.raises(ValueError, match=f"RPST version {version}"):
             deserialize_cluster_state(bytes(blob))
 
     def test_rejects_foreign_streams(self):

@@ -1,14 +1,12 @@
 """FlatCellGraph: the columnar cell graph vs the CellGraph reference.
 
 Every behavior the tournament relies on — absorb, edge-type detection,
-reduction, conversion, serialization — must agree between the
+reduction, conversion — must agree between the
 struct-of-arrays graph and the dict-of-tuples reference.  The reference
 graphs are the pipeline's own subgraphs converted with
 ``to_cell_graph``; vertex ids are dense flat rows, so both speak the
 same integer universe.
 """
-
-import pickle
 
 import numpy as np
 import pytest
@@ -26,10 +24,6 @@ from repro.core.construction import QueryContext, build_cell_subgraph
 from repro.core.dictionary import FlatCellDictionary
 from repro.core.merging import merge_match, progressive_merge
 from repro.core.partitioning import pseudo_random_partition
-from repro.core.serialization import (
-    deserialize_cell_graph,
-    serialize_cell_graph,
-)
 from repro.graph.spanning_forest import (
     connected_components,
     connected_components_arrays,
@@ -154,60 +148,6 @@ class TestConversions:
             assert back.core == ref.core
             assert back.noncore == ref.noncore
             assert back.undetermined == ref.undetermined
-
-
-#: Side effects of unpickling a :class:`_SideEffect`.
-_UNPICKLED: list = []
-
-
-def _record_unpickle() -> None:
-    _UNPICKLED.append("unpickled")
-
-
-class _SideEffect:
-    """Unpickling an instance records a side effect — a stand-in for a
-    hostile payload."""
-
-    def __reduce__(self):
-        return _record_unpickle, ()
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("seed", SEEDS[:3])
-    def test_flat_blob_round_trip(self, seed):
-        flat_graphs, _ = pipeline_subgraphs(seed)
-        graph = flat_graphs[0]
-        blob = serialize_cell_graph(graph)
-        back = deserialize_cell_graph(blob)
-        assert isinstance(back, FlatCellGraph)
-        assert np.array_equal(back.status, graph.status)
-        assert np.array_equal(back.src, graph.src)
-        assert np.array_equal(back.dst, graph.dst)
-        assert np.array_equal(back.etype, graph.etype)
-        assert back._pending == graph._pending
-        assert np.array_equal(
-            back._forest.roots(), graph._forest.roots()
-        )
-
-    def test_pickle_blob_rejected_without_unpickling(self):
-        # The retired dict-graph magic must not reach pickle: a blob whose
-        # unpickling would record a side effect is refused before any
-        # payload byte is decoded.
-        blob = b"RPGD" + pickle.dumps(_SideEffect())
-        pickle.loads(blob[4:])
-        assert _UNPICKLED == ["unpickled"]  # the payload is live
-        _UNPICKLED.clear()
-        with pytest.raises(ValueError, match="magic"):
-            deserialize_cell_graph(blob)
-        assert _UNPICKLED == []
-
-    def test_only_flat_graphs_serialize(self):
-        with pytest.raises(TypeError, match="FlatCellGraph"):
-            serialize_cell_graph(pipeline_subgraphs(0)[0][0].to_cell_graph())
-
-    def test_unknown_magic_rejected(self):
-        with pytest.raises(ValueError):
-            deserialize_cell_graph(b"NOPE" + b"\x00" * 16)
 
 
 class TestFlatGraphUnits:

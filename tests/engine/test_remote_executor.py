@@ -16,7 +16,10 @@ drives them through ``Engine("remote", nodes=...)``:
 * **teardown ordering** — a mid-phase ``close()`` from another thread
   neither hangs nor leaks ``/dev/shm`` segments (process and remote);
 * **failures without a policy** — a task's own exception reaches the
-  caller, and a node death fails the phase naming the node.
+  caller, the late answers of that map's other attempts never answer
+  the next map, a node death fails the phase naming the node, and a
+  task module that is slow to import does not stall the agent's
+  heartbeats.
 """
 
 from __future__ import annotations
@@ -183,6 +186,29 @@ class TestRemoteFailuresWithoutPolicy:
             with pytest.raises(RuntimeError, match="task 2 failed"):
                 run_bounded(lambda: engine.map_tasks(boom, [2, 2, 2]))
             assert engine.counters.fault_total() == 0
+
+    def test_late_answers_never_resolve_the_next_map(self, nodes):
+        # The first map fails on its first answer while its other
+        # attempts are still out; their answers arrive during the next
+        # map, whose attempts reuse the same task ids and attempt numbers.
+        with Engine("remote", nodes=nodes) as engine:
+            with pytest.raises(RuntimeError, match="task 2 failed"):
+                run_bounded(lambda: engine.map_tasks(boom, [2] * 8))
+            assert run_bounded(
+                lambda: engine.map_tasks(square, list(range(8)))
+            ) == [x * x for x in range(8)]
+
+    def test_slow_task_import_keeps_the_node_alive(self):
+        # The task module sleeps on import for three heartbeat timeouts.
+        # Only a pool worker may import it: an agent that decoded the
+        # task on its event loop would stop beating and be declared dead.
+        from . import slow_import_task
+
+        with loopback_nodes(num_nodes=1, workers=1) as addrs:
+            with Engine("remote", nodes=addrs, heartbeat_timeout_s=1.0) as engine:
+                assert run_bounded(
+                    lambda: engine.map_tasks(slow_import_task.square, [1, 2, 3])
+                ) == [1, 4, 9]
 
     def test_node_death_fails_the_phase_naming_the_node(self):
         # Own harness: this test kills one of its agents.
