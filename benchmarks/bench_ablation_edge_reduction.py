@@ -31,7 +31,7 @@ def cluster_with(points, eps, min_pts, reduce_edges):
         [r.graph for r in results], reduce_edges=reduce_edges
     )
     labeling = build_labeling_context(
-        graph, partitions, {r.pid: r.core_mask for r in results}, eps, dictionary
+        graph, partitions, {r.pid: r.core_mask for r in results}, eps
     )
     labels = np.full(points.shape[0], -1, dtype=np.int64)
     for partition in partitions:

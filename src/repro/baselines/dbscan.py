@@ -31,7 +31,7 @@ import numpy as np
 from repro.baselines.base import BaselineResult, relabel_dense
 from repro.graph.union_find import UnionFind
 from repro.spatial.cell_index import NeighborCellFinder
-from repro.spatial.distance import pairwise_distances
+from repro.spatial.distance import seq_squared_distances
 from repro.spatial.grid import GridSpec, group_points_by_cell
 
 __all__ = ["ExactDBSCAN"]
@@ -103,14 +103,14 @@ class ExactDBSCAN:
         finder: NeighborCellFinder,
     ) -> np.ndarray:
         """Exact neighbor counting per cell, vectorized per cell pair."""
-        eps = self.eps
+        eps2 = self.eps * self.eps
         core_mask = np.zeros(pts.shape[0], dtype=bool)
         for cell_id, indices in groups.items():
             cell_pts = pts[indices]
             neighbor_indices = [groups[c] for c in finder.candidates(cell_id)]
             candidates = np.concatenate(neighbor_indices)
-            dist = pairwise_distances(cell_pts, pts[candidates])
-            counts = (dist <= eps).sum(axis=1)
+            d2 = seq_squared_distances(cell_pts, pts[candidates])
+            counts = (d2 <= eps2).sum(axis=1)
             core_mask[indices] = counts >= self.min_pts
         return core_mask
 
@@ -121,7 +121,7 @@ class ExactDBSCAN:
         finder: NeighborCellFinder,
         core_mask: np.ndarray,
     ) -> np.ndarray:
-        eps = self.eps
+        eps2 = self.eps * self.eps
         uf = UnionFind()
         core_by_cell: dict[tuple[int, ...], np.ndarray] = {}
         for cell_id, indices in groups.items():
@@ -145,8 +145,7 @@ class ExactDBSCAN:
                 if other <= cell_id or other not in core_by_cell:
                     continue
                 theirs = core_by_cell[other]
-                dist = pairwise_distances(pts[mine], pts[theirs])
-                hits = dist <= eps
+                hits = seq_squared_distances(pts[mine], pts[theirs]) <= eps2
                 rows = np.nonzero(hits.any(axis=1))[0]
                 for row in rows:
                     col = int(np.argmax(hits[row]))
@@ -171,10 +170,10 @@ class ExactDBSCAN:
             if not neighbor_core:
                 continue
             core_candidates = np.concatenate(neighbor_core)
-            dist = pairwise_distances(pts[border], pts[core_candidates])
-            dist[dist > eps] = np.inf
-            nearest = np.argmin(dist, axis=1)
-            reachable = np.isfinite(dist[np.arange(border.size), nearest])
+            d2 = seq_squared_distances(pts[border], pts[core_candidates])
+            d2[d2 > eps2] = np.inf
+            nearest = np.argmin(d2, axis=1)
+            reachable = np.isfinite(d2[np.arange(border.size), nearest])
             for row in np.nonzero(reachable)[0]:
                 owner = int(core_candidates[nearest[row]])
                 labels[int(border[row])] = component[owner]

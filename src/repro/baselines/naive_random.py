@@ -23,7 +23,7 @@ import numpy as np
 from repro.baselines.base import BaselineResult, relabel_dense
 from repro.baselines.dbscan import ExactDBSCAN
 from repro.graph.union_find import UnionFind
-from repro.spatial.distance import pairwise_distances
+from repro.spatial.distance import seq_squared_distances
 
 __all__ = ["NaiveRandomDBSCAN"]
 
@@ -105,6 +105,7 @@ class NaiveRandomDBSCAN:
                         rows, self.representatives_per_cluster, replace=False
                     )
                 reps.append((key, pts[indices[rows]]))
+        eps2 = self.eps * self.eps
         for i in range(len(reps)):
             key_i, pts_i = reps[i]
             if pts_i.shape[0] == 0:
@@ -115,7 +116,7 @@ class NaiveRandomDBSCAN:
                     continue
                 if uf.connected(key_i, key_j):
                     continue
-                if (pairwise_distances(pts_i, pts_j) <= self.eps).any():
+                if (seq_squared_distances(pts_i, pts_j) <= eps2).any():
                     uf.union(key_i, key_j)
         component = uf.component_labels()
         labels = np.full(n, -1, dtype=np.int64)

@@ -73,7 +73,7 @@ class RhoDBSCAN:
         subgraph = build_cell_subgraph(partition, context, self.min_pts)
         graph, _ = progressive_merge([subgraph.graph])
         labeling_context = build_labeling_context(
-            graph, [partition], {0: subgraph.core_mask}, self.eps, dictionary
+            graph, [partition], {0: subgraph.core_mask}, self.eps
         )
         global_indices, local_labels = label_partition(partition, labeling_context)
         labels = np.full(n, -1, dtype=np.int64)

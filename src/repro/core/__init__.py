@@ -49,7 +49,6 @@ from repro.core.merging import (
 from repro.core.partitioning import (
     Partition,
     pseudo_random_partition,
-    true_random_partition,
 )
 from repro.core.prediction import ClusterModel
 from repro.core.region_query import CellBatchQueryResult, RegionQueryEngine
@@ -104,7 +103,6 @@ __all__ = [
     "progressive_merge",
     "Partition",
     "pseudo_random_partition",
-    "true_random_partition",
     "CellBatchQueryResult",
     "RegionQueryEngine",
     "ClusterModel",

@@ -530,26 +530,19 @@ class FlatCellGraph:
         src: np.ndarray,
         dst: np.ndarray,
         etype: np.ndarray,
-        *,
-        pending: "list[int] | None" = None,
-        forest: "ArrayUnionFind | None" = None,
     ) -> "FlatCellGraph":
         """Bulk constructor from prebuilt columns (arrays are adopted).
 
-        ``pending`` defaults to every FULL edge (nothing forest-tested
-        yet); ``forest`` defaults to a fresh one over the universe.
+        Every FULL edge is pending (nothing forest-tested yet) against a
+        fresh forest over the universe.
         """
         graph = cls.__new__(cls)
         graph.status = np.ascontiguousarray(status, dtype=np.int8)
         graph.src = np.ascontiguousarray(src, dtype=np.int32)
         graph.dst = np.ascontiguousarray(dst, dtype=np.int32)
         graph.etype = np.ascontiguousarray(etype, dtype=np.int8)
-        if pending is None:
-            pending = np.nonzero(graph.etype == int(EdgeType.FULL))[0].tolist()
-        graph._pending = list(pending)
-        graph._forest = (
-            forest if forest is not None else ArrayUnionFind(graph.status.size)
-        )
+        graph._pending = np.nonzero(graph.etype == int(EdgeType.FULL))[0].tolist()
+        graph._forest = ArrayUnionFind(graph.status.size)
         return graph
 
     # ------------------------------------------------------------------
@@ -567,17 +560,29 @@ class FlatCellGraph:
         clone._forest = self._forest.copy()
         return clone
 
-    def _load_from(self, other: "FlatCellGraph") -> None:
-        self.status = other.status
-        self.src = other.src
-        self.dst = other.dst
-        self.etype = other.etype
-        self._pending = other._pending
-        self._forest = other._forest
+    def absorb(self, other: "FlatCellGraph") -> "FlatCellGraph":
+        """In-place merger ``self |= other`` (Definition 6.2).
 
-    def _concatenate(self, other: "FlatCellGraph") -> None:
-        """Vectorized union assuming disjoint edge keys (the pipeline
-        case: each edge's source cell is owned by one partition)."""
+        The two graphs must share no edge source: every pipeline
+        subgraph's edges start at cells its partition owns, and each
+        cell has one owner, in the fit and in the ingest.  The union is
+        then a status maximum plus an edge concatenation; a shared
+        source raises ``ValueError``.
+        """
+        if other.n_slots != self.n_slots:
+            raise ValueError(
+                f"universe mismatch: {self.n_slots} vs {other.n_slots}"
+            )
+        if self.src.size and other.src.size:
+            sources = np.zeros(self.n_slots, dtype=bool)
+            sources[self.src] = True
+            shared = sources[other.src]
+            if shared.any():
+                raise ValueError(
+                    "graphs share edge source cell "
+                    f"{int(other.src[np.argmax(shared)])}; absorb needs "
+                    "disjoint sources (each cell owned by one partition)"
+                )
         np.maximum(self.status, other.status, out=self.status)
         base = self.src.size
         self.src = np.concatenate([self.src, other.src])
@@ -585,31 +590,6 @@ class FlatCellGraph:
         self.etype = np.concatenate([self.etype, other.etype])
         self._pending.extend(p + base for p in other._pending)
         self._forest.merge_from(other._forest)
-
-    def _has_overlap(self, other: "FlatCellGraph") -> bool:
-        if not (self.src.size and other.src.size):
-            return False
-        return bool(
-            np.intersect1d(self._edge_keys(), other._edge_keys()).size
-        )
-
-    def absorb(self, other: "FlatCellGraph") -> "FlatCellGraph":
-        """In-place merger ``self |= other`` (Definition 6.2)."""
-        if other.n_slots != self.n_slots:
-            raise ValueError(
-                f"universe mismatch: {self.n_slots} vs {other.n_slots}"
-            )
-        if self._has_overlap(other):
-            # Rare path (hand-built graphs only): duplicate edge keys
-            # would destabilize pending indices under dedup, so route
-            # through the reference CellGraph for its exact
-            # determined-wins semantics.  Pipeline subgraphs have
-            # disjoint edge keys.
-            ref = self.to_cell_graph()
-            ref.absorb(other.to_cell_graph())
-            self._load_from(FlatCellGraph.from_cell_graph(ref, self.n_slots))
-            return self
-        self._concatenate(other)
         return self
 
     def absorb_resolving(self, other: "FlatCellGraph") -> int:

@@ -88,11 +88,10 @@ from repro.core.construction import (
     assemble_subgraph,
     touched_edges,
 )
-from repro.core.dictionary import FlatCellDictionary, index_rows
+from repro.core.dictionary import FlatCellDictionary
 from repro.core.labeling import (
     NOISE,
     LabelingContext,
-    core_cell_labels,
     label_partition,
     partial_predecessors,
 )
@@ -400,7 +399,7 @@ class ClusterState:
         counts = np.concatenate([self.counts, np.zeros(n2)])
         core_mask = np.concatenate([self.core_mask, np.zeros(n2, dtype=bool)])
         partitions = _partitions_over_cells(
-            points_all, point_cell_rows, new_dict, dirty, num_tasks
+            points_all, point_cell_rows, dirty, num_tasks
         )
         results = engine.map_tasks(
             _delta_phase2_worker,
@@ -451,10 +450,10 @@ class ClusterState:
             spliced, touched, point_cell_rows[newly_core]
         )
         labeling_context = _relabel_context(
-            spliced, relabel, points_all[core_mask], point_cell_rows[core_mask],
-            geometry.eps, new_dict,
+            spliced, relabel, points_all, point_cell_rows, core_mask,
+            geometry.eps,
         )
-        cell_labels = labeling_context.cell_label_array(C_new)
+        cell_labels = labeling_context.cell_labels
         labels = np.full(n, NOISE, dtype=np.int64)
         if n1:
             # Old cluster -> new cluster: an old cluster's core cells
@@ -471,7 +470,7 @@ class ClusterState:
         label_chunks = engine.map_tasks(
             label_partition,
             _partitions_over_cells(
-                points_all, point_cell_rows, new_dict, relabel, num_tasks
+                points_all, point_cell_rows, relabel, num_tasks
             ),
             broadcast=labeling_context,
             phase=PHASE_INGEST_LABEL,
@@ -541,8 +540,8 @@ def _delta_phase2_worker(task, context: _DeltaContext) -> SubgraphResult:
     partition, seeds = task
     min_pts = float(context.min_pts)
     union = context.union
-    cell_ids, bounds = partition.cell_table(union.geometry.dim)
-    rows = index_rows(union.dictionary, cell_ids)
+    rows, bounds = partition.rows, partition.offsets
+    cell_ids = union.dictionary.cell_ids[rows]
     old = partition.global_indices < context.num_old
     counts = np.empty(partition.num_points, dtype=np.float64)
     old_counts, d_src, d_dst = _sweep_subset(
@@ -620,39 +619,26 @@ def _cells_to_relabel(
 def _relabel_context(
     graph: FlatCellGraph,
     cells: np.ndarray,
-    core_points: np.ndarray,
-    core_rows: np.ndarray,
+    points: np.ndarray,
+    point_cell_rows: np.ndarray,
+    core_mask: np.ndarray,
     eps: float,
-    dictionary: FlatCellDictionary,
 ) -> LabelingContext:
     """The labeling broadcast for the non-core ``cells`` only: every
     core cell's canonical id, the cells' sorted predecessors, and those
-    predecessors' core points (``core_points`` lie in cells
-    ``core_rows``, in global-index order).  The fit gathers the same
-    core points from its partitions; here they are resident."""
+    predecessors' core points, ascending global index within a cell.
+    The fit gathers the same core points from its partitions; here they
+    are resident."""
     predecessors, needed = partial_predecessors(graph, cells)
-    # Core points grouped by cell, ascending global index within a cell.
-    pick = np.flatnonzero(np.isin(core_rows, needed))
-    pick = pick[np.argsort(core_rows[pick], kind="stable")]
-    starts = np.searchsorted(core_rows[pick], needed, side="left")
-    stops = np.searchsorted(core_rows[pick], needed, side="right")
-    predecessor_core_points = {
-        int(row): core_points[pick[a:b]]
-        for row, a, b in zip(needed.tolist(), starts.tolist(), stops.tolist())
-    }
-    return LabelingContext(
-        eps=eps,
-        dictionary=dictionary,
-        cell_labels=core_cell_labels(graph),
-        predecessors=predecessors,
-        predecessor_core_points=predecessor_core_points,
+    pick = np.flatnonzero(core_mask & needed[point_cell_rows])
+    return LabelingContext.assemble(
+        graph, eps, predecessors, point_cell_rows[pick], points[pick]
     )
 
 
 def _partitions_over_cells(
     points: np.ndarray,
     point_cell_rows: np.ndarray,
-    dictionary: FlatCellDictionary,
     cell_rows: np.ndarray,
     num_tasks: int,
 ) -> list[Partition]:
@@ -664,42 +650,25 @@ def _partitions_over_cells(
     recomputed Phase II answers bit-identical regardless of how cells
     are regrouped here (partition invariance).
     """
-    selected = np.nonzero(np.isin(point_cell_rows, cell_rows))[0]
+    selected = np.flatnonzero(np.isin(point_cell_rows, cell_rows))
     if selected.size == 0:
         return []
     # Stable sort by cell row: grouped by cell, ascending global index
     # within each cell.
     order = selected[np.argsort(point_cell_rows[selected], kind="stable")]
-    sorted_rows = point_cell_rows[order]
-    cells, starts, counts = np.unique(
-        sorted_rows, return_index=True, return_counts=True
-    )
+    cells, starts = np.unique(point_cell_rows[order], return_index=True)
+    bounds = np.append(starts, order.size)
     groups = [
         g for g in np.array_split(np.arange(cells.size), max(1, num_tasks))
         if g.size
     ]
     partitions: list[Partition] = []
     for pid, group in enumerate(groups):
-        lo = int(starts[group[0]])
-        hi = int(starts[group[-1]] + counts[group[-1]])
-        sel = order[lo:hi]
-        # Bulk conversion to python ints: one tolist per partition, not
-        # one small array per cell.
-        slices: dict[tuple, tuple[int, int]] = {
-            tuple(cell_id): (start - lo, start + count - lo)
-            for cell_id, start, count in zip(
-                dictionary.cell_ids[cells[group]].tolist(),
-                starts[group].tolist(),
-                counts[group].tolist(),
-                strict=True,
-            )
-        }
+        cell_bounds = bounds[group[0] : group[-1] + 2]
+        sel = order[cell_bounds[0] : cell_bounds[-1]]
         partitions.append(
             Partition(
-                pid=pid,
-                points=np.ascontiguousarray(points[sel]),
-                global_indices=sel.astype(np.int64),
-                cell_slices=slices,
+                pid, points[sel], sel, cells[group], cell_bounds - cell_bounds[0]
             )
         )
     return partitions

@@ -31,7 +31,7 @@ from repro.core.cell_graph import (
 )
 from repro.core.cells import CellGeometry
 from repro.core.defragmentation import FlatDefragmentedDictionary, defragment
-from repro.core.dictionary import FlatCellDictionary, index_rows
+from repro.core.dictionary import FlatCellDictionary
 from repro.core.partitioning import Partition
 from repro.core.region_query import PartitionQueryResult, RegionQueryEngine
 from repro.core.sharding import PartialFlatDictionary
@@ -167,16 +167,14 @@ def build_cell_subgraph(
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
     dictionary = context.dictionary
-    cell_ids, bounds = partition.cell_table(context.geometry.dim)
-    # Graph vertices are the dictionary's dense cell rows (every
-    # referenced cell is a dictionary cell); one lookup serves the
-    # whole partition.
-    rows = index_rows(dictionary, cell_ids)
+    # Graph vertices are the dictionary's dense cell rows, which is how
+    # the partition names its cells.
+    rows, bounds = partition.rows, partition.offsets
 
     # One sweep answers every point of every cell (lines 8-10), then
     # marks core points and core cells (lines 11-12).
     result = context.engine.query_partition(
-        cell_ids, partition.points, bounds, float(min_pts)
+        dictionary.cell_ids[rows], partition.points, bounds, float(min_pts)
     )
     core_mask = result.counts >= float(min_pts)
     core_rows = rows[np.add.reduceat(core_mask, bounds[:-1]) > 0] if rows.size else rows

@@ -40,7 +40,6 @@ __all__ = [
     "lex_keys",
     "csr_gather_indices",
     "segment_distinct_counts",
-    "index_rows",
 ]
 
 
@@ -371,17 +370,6 @@ class CellDictionary:
     def densities(self, cell_id: CellId) -> np.ndarray:
         """Per-sub-cell densities of ``cell_id`` as float64 (for matmul)."""
         return self.cells[cell_id].sub_counts.astype(np.float64)
-
-
-def index_rows(dictionary, cell_ids: np.ndarray) -> np.ndarray:
-    """Dense rows of the ``(m, d)`` cell ids in ``dictionary`` (a flat
-    or partial dictionary) — one vectorized binary search.  Raises
-    ``KeyError`` for a cell the dictionary does not hold."""
-    ids = np.asarray(cell_ids, dtype=np.int64)
-    rows = dictionary.find_rows(ids)
-    if np.any(rows < 0):
-        raise KeyError(tuple(int(v) for v in ids[np.argmax(rows < 0)]))
-    return rows
 
 
 class FlatCellDictionary:

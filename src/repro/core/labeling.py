@@ -20,12 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cell_graph import EdgeType, FlatCellGraph
-from repro.core.dictionary import FlatCellDictionary, index_rows
+from repro.core.cell_graph import V_CORE, EdgeType, FlatCellGraph
+from repro.core.dictionary import csr_gather_indices
 from repro.core.partitioning import Partition
-from repro.core.sharding import PartialFlatDictionary
-from repro.graph.spanning_forest import connected_components
-from repro.spatial.distance import pairwise_distances
+from repro.graph.spanning_forest import connected_components_arrays
+from repro.spatial.distance import seq_squared_distances
 
 __all__ = [
     "LabelingContext",
@@ -42,93 +41,126 @@ NOISE = -1
 
 @dataclass
 class LabelingContext:
-    """Broadcast payload for Phase III-2.
+    """Broadcast payload for Phase III-2, as arrays keyed by cell row.
 
     Cells are addressed by their dense dictionary *row*, matching the
-    vertices of the global cell graph.
+    vertices of the global cell graph and each partition's ``rows``.
 
     Attributes
     ----------
     eps:
         DBSCAN radius for the exact border checks.
-    dictionary:
-        The broadcast dictionary shared with Phase II; it maps each
-        partition's cell ids to their rows.
     cell_labels:
-        Cluster id for every core cell index (dense ints from 0).
-    predecessors:
-        For each non-core cell index, its predecessor core cell indices
-        via partial edges, sorted for deterministic tie-breaking.
-    predecessor_core_points:
-        The actual core points of every cell that appears as a partial-
-        edge source, gathered across partitions by the driver.
+        ``(C,)`` int64 cluster id per cell row (dense ints from 0);
+        ``-1`` for non-core cells.
+    predecessor_offsets / predecessors:
+        CSR keyed by destination row: the predecessor core cells of
+        non-core cell ``r`` (via partial edges) are
+        ``predecessors[predecessor_offsets[r]:predecessor_offsets[r + 1]]``,
+        ascending for deterministic tie-breaking.
+    core_point_offsets / core_points:
+        CSR keyed by row: the actual core points of every partial-edge
+        source cell, gathered across partitions by the driver.
     """
 
     eps: float
-    dictionary: FlatCellDictionary | PartialFlatDictionary
-    cell_labels: dict[int, int]
-    predecessors: dict[int, list[int]]
-    predecessor_core_points: dict[int, np.ndarray]
+    cell_labels: np.ndarray
+    predecessor_offsets: np.ndarray
+    predecessors: np.ndarray
+    core_point_offsets: np.ndarray
+    core_points: np.ndarray
 
     @property
     def n_clusters(self) -> int:
         """Number of distinct clusters."""
-        if not self.cell_labels:
-            return 0
-        return len(set(self.cell_labels.values()))
+        return int(self.cell_labels.max(initial=NOISE)) + 1
 
-    def cell_label_array(self, num_cells: int) -> np.ndarray:
-        """``(num_cells,)`` int64 cluster id per cell row, ``-1`` for
-        non-core cells — the model plane's ``cell_labels`` column."""
-        out = np.full(num_cells, NOISE, dtype=np.int64)
-        count = len(self.cell_labels)
-        if count:
-            out[np.fromiter(self.cell_labels, dtype=np.int64, count=count)] = (
-                np.fromiter(self.cell_labels.values(), dtype=np.int64, count=count)
-            )
-        return out
+    @classmethod
+    def assemble(
+        cls,
+        graph: FlatCellGraph,
+        eps: float,
+        predecessors: tuple[np.ndarray, np.ndarray],
+        point_rows: np.ndarray,
+        points: np.ndarray,
+    ) -> "LabelingContext":
+        """The broadcast for ``graph``: its canonical cell labels, the
+        CSR ``predecessors`` of :func:`partial_predecessors`, and the
+        core ``points`` of the sources (``points[i]`` lies in cell
+        ``point_rows[i]``; a cell's points keep their order)."""
+        order = np.argsort(point_rows, kind="stable")
+        offsets = np.zeros(graph.n_slots + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(point_rows, minlength=graph.n_slots), out=offsets[1:]
+        )
+        return cls(
+            eps=eps,
+            cell_labels=core_cell_labels(graph),
+            predecessor_offsets=predecessors[0],
+            predecessors=predecessors[1],
+            core_point_offsets=offsets,
+            core_points=points[order],
+        )
 
 
-def core_cell_labels(graph: FlatCellGraph) -> dict[int, int]:
-    """Canonical cluster id for every core cell of ``graph``.
+def core_cell_labels(graph: FlatCellGraph) -> np.ndarray:
+    """Canonical cluster id per cell row of ``graph``; ``-1`` off core.
 
-    One spanning tree over **full** edges is one cluster (Lemma 3.5);
-    :func:`~repro.graph.spanning_forest.connected_components` numbers the
-    components canonically (by their smallest member), so the mapping is
-    a pure function of the graph's core set and full-edge connectivity —
-    *not* of edge order, merge history, or how the graph was produced.
-    The from-scratch fit and the incremental ingest splice both route
+    One spanning tree over **full** edges is one cluster (Lemma 3.5).
+    Clusters are numbered in the order of their smallest member's
+    decimal string (so row 10 precedes row 9) — the canonical order of
+    :meth:`~repro.graph.union_find.UnionFind.component_labels`, which
+    the cluster ids have always followed.  The labels are thus a pure
+    function of the graph's core set and full-edge connectivity — *not*
+    of edge order, merge history, or how the graph was produced.  The
+    from-scratch fit and the incremental ingest splice both route
     through this helper; identical connectivity therefore yields
     bit-identical cluster numbering, which is what makes an incremental
     refit indistinguishable from a full one.
     """
-    return connected_components(
-        sorted(graph.core), graph.edges_of_type(EdgeType.FULL)
+    core = np.flatnonzero(graph.status == V_CORE)
+    compact = np.zeros(graph.n_slots, dtype=np.int64)
+    compact[core] = np.arange(core.size)
+    full = graph.etype == int(EdgeType.FULL)
+    component = connected_components_arrays(
+        core.size, compact[graph.src[full]], compact[graph.dst[full]]
     )
+    # Rank components by where they first appear in decimal-string order.
+    _, first = np.unique(
+        component[np.argsort(core.astype(str), kind="stable")],
+        return_index=True,
+    )
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    labels = np.full(graph.n_slots, NOISE, dtype=np.int64)
+    labels[core] = rank[component]
+    return labels
 
 
 def partial_predecessors(
     graph: FlatCellGraph, cells: np.ndarray | None = None
-) -> tuple[dict[int, list[int]], np.ndarray]:
-    """The predecessor map of the labeling broadcast, and its sources.
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The predecessor CSR of the labeling broadcast, and its sources.
 
-    Maps every partial-edge destination (only those among ``cells``
-    when given) to its partial-edge sources in ascending row order —
-    the deterministic tie-break of :func:`label_partition`.  Also
-    returns the ascending distinct sources: the cells whose core points
-    the broadcast must carry.
+    Returns ``((offsets, sources), needed)``: for every partial-edge
+    destination (only those among ``cells`` when given), its partial-edge
+    sources in ascending row order — the deterministic tie-break of
+    :func:`label_partition` — keyed by destination row; and a boolean
+    mask over rows of those sources, the cells whose core points the
+    broadcast must carry.
     """
     partial = np.flatnonzero(graph.etype == int(EdgeType.PARTIAL))
     if cells is not None:
         wanted = np.zeros(graph.n_slots, dtype=bool)
         wanted[cells] = True
         partial = partial[wanted[graph.dst[partial]]]
-    src, dst = graph.src[partial], graph.dst[partial]
-    order = np.lexsort((src, dst))
-    predecessors: dict[int, list[int]] = {}
-    for s, d in zip(src[order].tolist(), dst[order].tolist()):
-        predecessors.setdefault(d, []).append(s)
-    return predecessors, np.unique(src).astype(np.int64)
+    src = graph.src[partial].astype(np.int64)
+    dst = graph.dst[partial].astype(np.int64)
+    offsets = np.zeros(graph.n_slots + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=graph.n_slots), out=offsets[1:])
+    needed = np.zeros(graph.n_slots, dtype=bool)
+    needed[src] = True
+    return (offsets, src[np.lexsort((src, dst))]), needed
 
 
 def build_labeling_context(
@@ -136,7 +168,6 @@ def build_labeling_context(
     partitions: list[Partition],
     core_masks: dict[int, np.ndarray],
     eps: float,
-    dictionary: FlatCellDictionary | PartialFlatDictionary,
 ) -> LabelingContext:
     """Driver-side assembly of the labeling broadcast.
 
@@ -151,41 +182,19 @@ def build_labeling_context(
         Per-partition boolean core masks from Phase II, keyed by pid.
     eps:
         DBSCAN radius.
-    dictionary:
-        The dictionary whose rows are the graph's vertices.
     """
-    cell_labels = core_cell_labels(graph)
     predecessors, needed = partial_predecessors(graph)
-
-    predecessor_core_points: dict[int, np.ndarray] = {}
+    rows, blocks = [], []
     for partition in partitions:
-        if not partition.cell_slices:
-            continue
-        mask = core_masks[partition.pid]
-        rows, bounds = _partition_rows(partition, dictionary)
-        for g in np.flatnonzero(np.isin(rows, needed)).tolist():
-            start, stop = int(bounds[g]), int(bounds[g + 1])
-            # gather_rows reads just these rows from an out-of-core
-            # partition instead of materializing the whole point block.
-            core_points = partition.gather_rows(start, stop, mask[start:stop])
-            predecessor_core_points[int(rows[g])] = core_points
-    return LabelingContext(
-        eps=eps,
-        dictionary=dictionary,
-        cell_labels=cell_labels,
-        predecessors=predecessors,
-        predecessor_core_points=predecessor_core_points,
+        point_rows = partition.point_rows()
+        local = np.flatnonzero(needed[point_rows] & core_masks[partition.pid])
+        rows.append(point_rows[local])
+        # take() reads just these rows from an out-of-core partition
+        # instead of materializing the whole point block.
+        blocks.append(partition.take(local))
+    return LabelingContext.assemble(
+        graph, eps, predecessors, np.concatenate(rows), np.concatenate(blocks)
     )
-
-
-def _partition_rows(
-    partition: Partition, dictionary: FlatCellDictionary | PartialFlatDictionary
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(rows, bounds)``: the dense row of every cell of ``partition``
-    (one lookup for the partition) and the cells' CSR point bounds."""
-    first = next(iter(partition.cell_slices))
-    cell_ids, bounds = partition.cell_table(len(first))
-    return index_rows(dictionary, cell_ids), bounds
 
 
 def label_partition(
@@ -196,38 +205,46 @@ def label_partition(
     Returns ``(global_indices, labels)``; the driver scatters ``labels``
     into the full label array at ``global_indices``.
     """
-    labels = np.full(partition.num_points, NOISE, dtype=np.int64)
-    if not partition.cell_slices:
+    rows, offsets = partition.rows, partition.offsets
+    sizes = np.diff(offsets)
+    cell_labels = context.cell_labels[rows]
+    # Core cell: every point joins the cell's spanning tree; the others
+    # start as noise.
+    labels = np.repeat(cell_labels, sizes)
+    pred_offsets = context.predecessor_offsets
+    border = np.flatnonzero(
+        (cell_labels == NOISE) & (pred_offsets[rows + 1] > pred_offsets[rows])
+    )
+    if border.size == 0:
         return partition.global_indices, labels
-    eps = context.eps
-    rows, bounds = _partition_rows(partition, context.dictionary)
-    for g, row in enumerate(rows.tolist()):
-        start, stop = int(bounds[g]), int(bounds[g + 1])
-        cluster = context.cell_labels.get(row)
-        if cluster is not None:
-            # Core cell: every point joins the cell's spanning tree.
-            labels[start:stop] = cluster
-            continue
-        preds = context.predecessors.get(row)
-        if not preds:
-            continue  # Non-core cell with no core predecessor: noise.
-        # Only non-core cells with core predecessors ever need their
-        # points here; gather_rows keeps an out-of-core partition from
-        # materializing wholesale just to label its (mostly core) cells.
-        pts = partition.gather_rows(start, stop)
-        assigned = np.zeros(pts.shape[0], dtype=bool)
-        for pred in preds:
-            if assigned.all():
-                break
-            core_points = context.predecessor_core_points.get(pred)
-            if core_points is None or core_points.shape[0] == 0:
+    # Only non-core cells with core predecessors ever need their points
+    # here; take() keeps an out-of-core partition from materializing
+    # wholesale just to label its (mostly core) cells.
+    pts = partition.take(csr_gather_indices(offsets[border], sizes[border]))
+    eps2 = context.eps * context.eps
+    core_offsets, core_points = context.core_point_offsets, context.core_points
+    cursor = 0
+    for g in border.tolist():
+        start, size = int(offsets[g]), int(sizes[g])
+        cell_pts = pts[cursor : cursor + size]
+        cursor += size
+        row = int(rows[g])
+        assigned = np.zeros(size, dtype=bool)
+        for pred in context.predecessors[
+            pred_offsets[row] : pred_offsets[row + 1]
+        ].tolist():
+            core = core_points[core_offsets[pred] : core_offsets[pred + 1]]
+            if core.shape[0] == 0:
                 continue
-            pending = ~assigned
-            dist = pairwise_distances(pts[pending], core_points)
-            reachable = (dist <= eps).any(axis=1)
+            pending = np.flatnonzero(~assigned)
+            reachable = (
+                seq_squared_distances(cell_pts[pending], core) <= eps2
+            ).any(axis=1)
             if not reachable.any():
                 continue
-            rows = np.nonzero(pending)[0][reachable]
-            labels[start + rows] = context.cell_labels[pred]
-            assigned[rows] = True
+            hit = pending[reachable]
+            labels[start + hit] = context.cell_labels[pred]
+            assigned[hit] = True
+            if assigned.all():
+                break
     return partition.global_indices, labels

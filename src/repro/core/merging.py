@@ -150,10 +150,8 @@ def progressive_merge(
         Toggle the Section 6.1.4 edge reduction.
     engine:
         When given, the tournament's time lands in its counters under
-        ``phase``, its tracer records one driver span named ``phase``
-        annotated with the round ledger (``merge_rounds``), and each
-        round is appended to the counters' merge ledger
-        (:meth:`~repro.engine.counters.Counters.add_merge_round`).
+        ``phase`` and its tracer records one driver span named ``phase``
+        annotated with the round ledger (``merge_rounds``).
     phase:
         Counter bucket / span label for the tournament.  Defaults to
         the fit pipeline's :data:`PHASE_MERGE`; the incremental-ingest
@@ -179,14 +177,6 @@ def progressive_merge(
         final, stats = _driver_merge(subgraphs, reduce_edges)
         if tracer.enabled:
             span.annotations["merge_rounds"] = stats.round_ledger()
-    for resolved, removed, wall in zip(
-        stats.resolved_per_round,
-        stats.removed_per_round,
-        stats.round_wall_seconds,
-    ):
-        engine.counters.add_merge_round(
-            resolved=resolved, removed=removed, wall_s=wall
-        )
     return final, stats
 
 

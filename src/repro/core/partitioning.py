@@ -13,31 +13,32 @@ Two assignment methods are provided:
 * ``"shuffle"`` — cells are randomly shuffled and dealt round-robin,
   which equalizes cell counts exactly; useful as an ablation.
 
-For the naive-random-split baselines (Sec 2.2.1) and ablations,
-:func:`true_random_partition` splits the *points* instead.
+A cell is named by its *row*: its rank in the lexicographically sorted
+table of non-empty cells, which is its row in the merged Phase I-2
+dictionary and its vertex in every cell graph.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cells import CellGeometry, CellId
+from repro.core.cells import CellGeometry
+from repro.core.dictionary import csr_gather_indices
 from repro.data.streaming import PointSource
-from repro.spatial.grid import cell_ids_for_points, group_points_by_cell
 
 __all__ = [
     "Partition",
     "LazyPartition",
     "pseudo_random_partition",
-    "true_random_partition",
 ]
 
 
 @dataclass
 class Partition:
-    """One pseudo random partition: a bag of whole cells and their points.
+    """One pseudo random partition: whole cells and their points, as CSR.
 
     Attributes
     ----------
@@ -49,15 +50,19 @@ class Partition:
     global_indices:
         ``(m,)`` int64 row indices of ``points`` in the original data
         set, used to write labels back in Phase III-2.
-    cell_slices:
-        Mapping from cell id to the ``(start, stop)`` row range of that
-        cell's points within ``points``.
+    rows:
+        ``(G,)`` int64 ascending dictionary rows of the partition's
+        cells.
+    offsets:
+        ``(G + 1,)`` int64 CSR bounds: cell ``rows[g]`` owns local rows
+        ``offsets[g]:offsets[g + 1]``, in ascending global index.
     """
 
     pid: int
     points: np.ndarray
     global_indices: np.ndarray
-    cell_slices: dict[CellId, tuple[int, int]]
+    rows: np.ndarray
+    offsets: np.ndarray
 
     @property
     def num_points(self) -> int:
@@ -67,42 +72,20 @@ class Partition:
     @property
     def num_cells(self) -> int:
         """Number of cells in this partition."""
-        return len(self.cell_slices)
+        return int(self.rows.size)
 
-    def cell_table(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(cell_ids, offsets)``: the ``(G, d)`` int64 cell ids in
-        :attr:`cell_slices` order and their ``(G + 1,)`` CSR point
-        bounds — the layout a per-partition sweep takes.  Cells own
-        consecutive row ranges in that order (as every constructor
-        here lays them out)."""
-        bounds = np.array(list(self.cell_slices.values()), dtype=np.int64)
-        ids = np.array(list(self.cell_slices), dtype=np.int64).reshape(-1, dim)
-        offsets = np.zeros(ids.shape[0] + 1, dtype=np.int64)
-        if ids.shape[0]:
-            offsets[1:] = bounds[:, 1]
-            if not np.array_equal(bounds[:, 0], offsets[:-1]):
-                raise ValueError("cell slices must be consecutive row ranges")
-        return ids, offsets
+    def point_rows(self) -> np.ndarray:
+        """``(m,)`` int64 dictionary row of each local point's cell."""
+        return np.repeat(self.rows, np.diff(self.offsets))
 
-    def cell_points(self, cell_id: CellId) -> np.ndarray:
-        """The ``(n_c, d)`` points of one cell."""
-        start, stop = self.cell_slices[cell_id]
-        return self.points[start:stop]
-
-    def cell_global_indices(self, cell_id: CellId) -> np.ndarray:
-        """Global data-set indices of one cell's points."""
-        start, stop = self.cell_slices[cell_id]
-        return self.global_indices[start:stop]
-
-    def gather_rows(self, start: int, stop: int, mask: np.ndarray | None = None) -> np.ndarray:
-        """The points of local rows ``start:stop`` (optionally masked).
+    def take(self, local: np.ndarray) -> np.ndarray:
+        """The points at local rows ``local``, in that order.
 
         On a :class:`LazyPartition` this reads just those rows from the
         backing source instead of materializing the whole partition —
         the driver-side access path of Phase III-2.
         """
-        block = self.points[start:stop]
-        return block if mask is None else block[mask]
+        return self.points[local]
 
     def release(self) -> None:
         """Drop any materialized point block (no-op for eager layouts)."""
@@ -122,12 +105,14 @@ class LazyPartition(Partition):
         self,
         pid: int,
         global_indices: np.ndarray,
-        cell_slices: dict[CellId, tuple[int, int]],
+        rows: np.ndarray,
+        offsets: np.ndarray,
         source: PointSource,
     ) -> None:
         self.pid = pid
         self.global_indices = global_indices
-        self.cell_slices = cell_slices
+        self.rows = rows
+        self.offsets = offsets
         self.source = source
         self._points: np.ndarray | None = None
 
@@ -143,14 +128,10 @@ class LazyPartition(Partition):
         """Number of points (known without materializing)."""
         return int(self.global_indices.shape[0])
 
-    def gather_rows(self, start: int, stop: int, mask: np.ndarray | None = None) -> np.ndarray:
+    def take(self, local: np.ndarray) -> np.ndarray:
         if self._points is not None:
-            block = self._points[start:stop]
-            return block if mask is None else block[mask]
-        indices = self.global_indices[start:stop]
-        if mask is not None:
-            indices = indices[mask]
-        return self.source.take(indices)
+            return self._points[local]
+        return self.source.take(self.global_indices[local])
 
     def release(self) -> None:
         self._points = None
@@ -161,38 +142,46 @@ class LazyPartition(Partition):
         return state
 
 
-def _group_source_by_cell(
-    source: PointSource, side: float
-) -> dict[CellId, np.ndarray]:
-    """Streaming twin of :func:`group_points_by_cell`.
+def _group_by_cell(
+    chunks: Iterable[tuple[int, np.ndarray]], geometry: CellGeometry
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(cell_sizes, order)``: the points grouped by cell in one sort.
 
-    Buckets a :class:`PointSource` chunk by chunk while reproducing the
-    eager grouping *exactly*: cells come out in lexicographic id order
-    (chunk groups are merged through a final key sort) and each cell's
-    indices ascend (chunks arrive in order; within a chunk the stable
-    lexsort keeps equal keys in row order).  Both properties feed the
-    partition-key RNG, so eager and streamed runs draw identical keys.
+    Each chunk is lexsorted by cell id into a table of its distinct
+    cells; the chunk tables are then merged with one stable sort, so
+    ``order`` lists the points cell by cell in lexicographic cell order
+    and in ascending index within a cell, and ``cell_sizes[r]`` counts
+    the points of the cell of rank ``r``.  Only the tables (per cell)
+    and the ``order`` (8 bytes per point) outlive a chunk, so an eager
+    array (one chunk) and a streamed source group identically.
     """
-    buckets: dict[CellId, list[np.ndarray]] = {}
-    for chunk_start, chunk in source.iter_chunks():
-        ids = cell_ids_for_points(chunk, side)
+    tables, sizes, orders = [], [], []
+    for chunk_start, chunk in chunks:
+        if chunk.shape[0] == 0:
+            continue
+        ids = geometry.cell_ids(chunk)
         order = np.lexsort(ids.T[::-1])
         sorted_ids = ids[order]
-        change = np.any(sorted_ids[1:] != sorted_ids[:-1], axis=1)
-        boundaries = np.concatenate(
-            ([0], np.nonzero(change)[0] + 1, [ids.shape[0]])
-        )
-        for start, stop in zip(boundaries[:-1], boundaries[1:]):
-            key = tuple(int(v) for v in sorted_ids[start])
-            buckets.setdefault(key, []).append(order[start:stop] + chunk_start)
-    return {
-        key: (
-            np.concatenate(buckets[key])
-            if len(buckets[key]) > 1
-            else buckets[key][0]
-        )
-        for key in sorted(buckets)
-    }
+        first = np.ones(order.size, dtype=bool)
+        np.any(sorted_ids[1:] != sorted_ids[:-1], axis=1, out=first[1:])
+        starts = np.flatnonzero(first)
+        tables.append(sorted_ids[starts])
+        sizes.append(np.diff(starts, append=order.size))
+        orders.append(order + chunk_start)
+    if not tables:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    ids = np.concatenate(tables)
+    run_sizes = np.concatenate(sizes)
+    # A stable sort keeps one cell's chunk runs in chunk order, hence
+    # ascending point index within the merged cell.
+    run_order = np.lexsort(ids.T[::-1])
+    ids = ids[run_order]
+    run_starts = (np.cumsum(run_sizes) - run_sizes)[run_order]
+    run_sizes = run_sizes[run_order]
+    order = np.concatenate(orders)[csr_gather_indices(run_starts, run_sizes)]
+    first = np.ones(run_order.size, dtype=bool)
+    np.any(ids[1:] != ids[:-1], axis=1, out=first[1:])
+    return np.add.reduceat(run_sizes, np.flatnonzero(first)), order
 
 
 def pseudo_random_partition(
@@ -208,7 +197,8 @@ def pseudo_random_partition(
     Parameters
     ----------
     points:
-        ``(n, d)`` data set.
+        ``(n, d)`` data set, or a :class:`PointSource` (the partitions
+        then materialize their points on demand).
     geometry:
         Cell geometry fixing the grid.
     num_partitions:
@@ -227,115 +217,47 @@ def pseudo_random_partition(
     """
     if num_partitions < 1:
         raise ValueError("num_partitions must be >= 1")
-    source: PointSource | None = None
     if isinstance(points, PointSource):
-        source = points
-        if source.dim != geometry.dim:
-            raise ValueError(
-                f"points have dim {source.dim} but geometry has dim {geometry.dim}"
-            )
-        pts = None
-        groups = _group_source_by_cell(source, geometry.side)
+        source, pts, dim = points, None, points.dim
+        chunks = source.iter_chunks()
     else:
+        source = None
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2:
             raise ValueError("points must be (n, d)")
-        if pts.shape[1] != geometry.dim:
-            raise ValueError(
-                f"points have dim {pts.shape[1]} but geometry has dim {geometry.dim}"
-            )
-        groups = group_points_by_cell(pts, geometry.side)
-    cell_ids = list(groups.keys())
+        dim = pts.shape[1]
+        chunks = [(0, pts)]
+    if dim != geometry.dim:
+        raise ValueError(
+            f"points have dim {dim} but geometry has dim {geometry.dim}"
+        )
+    if method not in ("random_key", "shuffle"):
+        raise ValueError(f"unknown partitioning method {method!r}")
+    cell_sizes, order = _group_by_cell(chunks, geometry)
+    # Keys are drawn per cell in lexicographic cell order.
+    num_cells = cell_sizes.size
     rng = np.random.default_rng(seed)
     if method == "random_key":
-        keys = rng.integers(0, num_partitions, size=len(cell_ids))
-    elif method == "shuffle":
-        order = rng.permutation(len(cell_ids))
-        keys = np.empty(len(cell_ids), dtype=np.int64)
-        keys[order] = np.arange(len(cell_ids)) % num_partitions
+        keys = rng.integers(0, num_partitions, size=num_cells)
     else:
-        raise ValueError(f"unknown partitioning method {method!r}")
+        shuffled = rng.permutation(num_cells)
+        keys = np.empty(num_cells, dtype=np.int64)
+        keys[shuffled] = np.arange(num_cells) % num_partitions
+    cell_starts = np.cumsum(cell_sizes) - cell_sizes
 
-    per_partition_cells: list[list[CellId]] = [[] for _ in range(num_partitions)]
-    for cell_id, key in zip(cell_ids, keys):
-        per_partition_cells[int(key)].append(cell_id)
-
-    partitions: list[Partition] = []
-    for pid, cells in enumerate(per_partition_cells):
-        index_chunks = [groups[cell_id] for cell_id in cells]
-        if index_chunks:
-            indices = np.concatenate(index_chunks)
-        else:
-            indices = np.empty(0, dtype=np.int64)
-        slices: dict[CellId, tuple[int, int]] = {}
-        cursor = 0
-        for cell_id, chunk in zip(cells, index_chunks):
-            slices[cell_id] = (cursor, cursor + chunk.shape[0])
-            cursor += chunk.shape[0]
-        if source is not None:
-            partitions.append(
-                LazyPartition(
-                    pid=pid,
-                    global_indices=indices,
-                    cell_slices=slices,
-                    source=source,
-                )
-            )
-        else:
-            partitions.append(
-                Partition(
-                    pid=pid,
-                    points=pts[indices],
-                    global_indices=indices,
-                    cell_slices=slices,
-                )
-            )
-    return partitions
-
-
-def true_random_partition(
-    points: np.ndarray,
-    geometry: CellGeometry,
-    num_partitions: int,
-    *,
-    seed: int | None = 0,
-) -> list[Partition]:
-    """Point-level random split (the naive strategy of Sec 2.2.1).
-
-    Points are shuffled and dealt round-robin, so a cell's points can be
-    scattered over many partitions.  Partitions are still organized by
-    cell internally so the same Phase II code can run on them — which is
-    exactly how the ablation quantifies the accuracy loss of naive
-    random split without a global dictionary.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise ValueError("points must be (n, d)")
-    if num_partitions < 1:
-        raise ValueError("num_partitions must be >= 1")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(pts.shape[0])
     partitions: list[Partition] = []
     for pid in range(num_partitions):
-        indices = order[pid::num_partitions]
-        sub = pts[indices]
-        groups = group_points_by_cell(sub, geometry.side)
-        local_order_chunks = list(groups.values())
-        if local_order_chunks:
-            local_order = np.concatenate(local_order_chunks)
-        else:
-            local_order = np.empty(0, dtype=np.int64)
-        slices: dict[CellId, tuple[int, int]] = {}
-        cursor = 0
-        for cell_id, chunk in groups.items():
-            slices[cell_id] = (cursor, cursor + chunk.shape[0])
-            cursor += chunk.shape[0]
-        partitions.append(
-            Partition(
-                pid=pid,
-                points=sub[local_order],
-                global_indices=indices[local_order],
-                cell_slices=slices,
+        rows = np.flatnonzero(keys == pid)
+        sizes = cell_sizes[rows]
+        offsets = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        indices = order[csr_gather_indices(cell_starts[rows], sizes)]
+        if source is not None:
+            partitions.append(
+                LazyPartition(pid, indices, rows, offsets, source)
             )
-        )
+        else:
+            partitions.append(
+                Partition(pid, pts[indices], indices, rows, offsets)
+            )
     return partitions

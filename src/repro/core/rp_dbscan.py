@@ -38,7 +38,6 @@ from repro.core.sharding import PartialFlatDictionary, ShardedFlatDictionary
 from repro.data.streaming import PointSource, as_point_source
 from repro.engine.counters import Counters
 from repro.engine.executors import Engine
-from repro.engine.faults import FaultPolicy
 from repro.kernels import resolve_kernel
 
 __all__ = [
@@ -301,13 +300,6 @@ class RPDBSCAN:
         density counts; JIT compilation happens in the engine's Phase II
         warm-up hook, so it lands in the ``engine.setup`` bucket and
         never in phase timings.
-    fault_policy:
-        Optional :class:`~repro.engine.faults.FaultPolicy` installed on
-        the engine: parallel phases then run under the engine's recovery
-        loop (retries, timeouts, pool re-spawn, straggler speculation),
-        so one crashed or hung worker no longer kills the whole
-        ``fit()``.  Recovery events are reported in the result counters'
-        fault buckets, never in phase breakdowns.
     defragment_capacity:
         When set, the broadcast dictionary is defragmented into
         sub-dictionaries of at most this many entries (Sec 4.2.2) and
@@ -346,7 +338,6 @@ class RPDBSCAN:
         partition_method: str = "random_key",
         candidate_strategy: str = "auto",
         kernel: str = "auto",
-        fault_policy: FaultPolicy | None = None,
         defragment_capacity: int | None = None,
         broadcast_budget: int | None = None,
     ) -> None:
@@ -371,9 +362,6 @@ class RPDBSCAN:
         # worker; "auto" pins to its concrete backend here so every
         # worker of the run agrees on it.
         self.kernel = resolve_kernel(kernel)
-        self.fault_policy = fault_policy
-        if fault_policy is not None:
-            self.engine.fault_policy = fault_policy
         self.defragment_capacity = defragment_capacity
         self.broadcast_budget = broadcast_budget
 
@@ -479,7 +467,7 @@ class RPDBSCAN:
             state, partitions, context, sharded, n
         )
         labels, global_graph, merge_stats, labeling_context = self._phase3(
-            state, partitions, subgraph_results, dictionary, sharded, n
+            state, partitions, subgraph_results, n
         )
         core_mask = np.zeros(n, dtype=bool)
         counts = np.zeros(n, dtype=np.float64)
@@ -597,16 +585,7 @@ class RPDBSCAN:
             state.points = pts
             rows = np.empty(pts.shape[0], dtype=np.int64)
             for partition in partitions:
-                if not partition.cell_slices:
-                    continue
-                owned = np.array(list(partition.cell_slices), dtype=np.int64)
-                local = np.empty(partition.num_points, dtype=np.int64)
-                for row, (start, stop) in zip(
-                    dictionary.find_rows(owned).tolist(),
-                    partition.cell_slices.values(),
-                ):
-                    local[start:stop] = row
-                rows[partition.global_indices] = local
+                rows[partition.global_indices] = partition.point_rows()
             state.point_cell_rows = rows
         return partitions, dictionary, sharded, context
 
@@ -626,15 +605,10 @@ class RPDBSCAN:
         # shards within eps of the partition's cells.
         shard_hints: list[tuple[int, ...] | None] = [None] * len(partitions)
         if sharded is not None:
-            for i, partition in enumerate(partitions):
-                if not partition.cell_slices:
-                    shard_hints[i] = ()
-                    continue
-                owned_ids = np.array(list(partition.cell_slices), dtype=np.int64)
-                rows = sharded.find_rows(owned_ids)
-                shard_hints[i] = tuple(
-                    int(s) for s in sharded.reachable_shards(rows)
-                )
+            shard_hints = [
+                tuple(sharded.reachable_shards(p.rows).tolist())
+                for p in partitions
+            ]
         subgraph_results: list[SubgraphResult] = self.engine.map_tasks(
             _phase2_worker,
             list(zip(partitions, shard_hints)),
@@ -657,9 +631,7 @@ class RPDBSCAN:
             }
         return subgraph_results, broadcast_residency
 
-    def _phase3(
-        self, state, partitions, subgraph_results, dictionary, sharded, n
-    ):
+    def _phase3(self, state, partitions, subgraph_results, n):
         """Phase III: merge the subgraphs, then label every point.
 
         Writes the state's graph plane (``graph``, ``cell_labels``);
@@ -678,21 +650,13 @@ class RPDBSCAN:
             f"{PHASE_MERGE} (labeling context)", "driver", phase=PHASE_MERGE
         ):
             core_masks = {r.pid: r.core_mask for r in subgraph_results}
-            # In a budgeted run the labeling context must reference the
-            # sharded dictionary: its row lookups touch only the root
-            # arrays, so the Phase III-2 broadcast hoists root + shards
-            # (budget-bounded residency) instead of dragging the full
-            # flat dictionary into a monolithic segment.
             labeling_context = build_labeling_context(
-                global_graph, partitions, core_masks, self.eps,
-                sharded if sharded is not None else dictionary,
+                global_graph, partitions, core_masks, self.eps
             )
 
         if state is not None:
             state.graph = global_graph
-            state.cell_labels = labeling_context.cell_label_array(
-                state.dictionary.num_cells
-            )
+            state.cell_labels = labeling_context.cell_labels
 
         # ---------------- Phase III-2: point labeling ------------------
         labels = np.full(n, -1, dtype=np.int64)

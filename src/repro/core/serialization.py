@@ -25,7 +25,6 @@ import numpy as np
 from repro.core.cell_graph import FlatCellGraph
 from repro.core.cells import CellGeometry, CellId
 from repro.core.dictionary import CellDictionary, CellSummary, FlatCellDictionary
-from repro.graph.union_find import ArrayUnionFind
 
 __all__ = [
     "serialize_dictionary",
@@ -235,8 +234,10 @@ def deserialize_flat_dictionary(data: bytes) -> FlatCellDictionary:
 
 _STATE_MAGIC = b"RPST"
 #: Version 2 added the per-point neighbor counts (the last array);
-#: version 3 dropped the merge-mode string after the candidate strategy.
-_STATE_VERSION = 3
+#: version 3 dropped the merge-mode string after the candidate strategy;
+#: version 4 dropped the graph's pending-edge list (always empty) and
+#: union-find parents (never read).
+_STATE_VERSION = 4
 # magic, version, eps, rho, dim, min_pts, num_tasks
 _STATE_HEADER = struct.Struct("<4sHddiii")
 
@@ -297,10 +298,9 @@ def serialize_cluster_state(state) -> bytes:
     fit parameters), two length-prefixed config strings, then every
     state array in a fixed order through the raw deterministic framing
     of :func:`_write_array` — dictionary columns, graph columns
-    (including the union-find forest and pending-edge worklist, so a
-    loaded state resumes ingest exactly where the saved one would),
-    cell labels, and the per-point arrays (points, cell rows, labels,
-    core flags, neighbor counts).
+    (statuses and the reduced edge list; an ingest rebuilds the
+    union-find forest from the edges), cell labels, and the per-point
+    arrays (points, cell rows, labels, core flags, neighbor counts).
     """
     geometry = state.geometry
     out = io.BytesIO()
@@ -329,8 +329,6 @@ def serialize_cluster_state(state) -> bytes:
         graph.src,
         graph.dst,
         graph.etype,
-        np.asarray(graph._pending, dtype=np.int64),
-        graph._forest.to_array(),
         state.cell_labels,
         state.points,
         state.point_cell_rows,
@@ -360,12 +358,12 @@ def deserialize_cluster_state(data: bytes):
     kernel, offset = _read_str(data, offset)
     candidate_strategy, offset = _read_str(data, offset)
     arrays = []
-    for _ in range(17):
+    for _ in range(15):
         array, offset = _read_array(data, offset)
         arrays.append(array)
     (
         cell_ids, cell_counts, offsets, sub_coords, sub_counts,
-        status, src, dst, etype, pending, parent,
+        status, src, dst, etype,
         cell_labels, points, point_cell_rows, labels, core_mask, counts,
     ) = arrays
     geometry = CellGeometry(eps, dim, rho)
@@ -373,11 +371,7 @@ def deserialize_cluster_state(data: bytes):
         geometry, cell_ids, cell_counts, offsets, sub_coords, sub_counts,
         validate=False,
     )
-    graph = FlatCellGraph.from_arrays(
-        status, src, dst, etype,
-        pending=pending.tolist(),
-        forest=ArrayUnionFind.from_array(parent),
-    )
+    graph = FlatCellGraph.from_arrays(status, src, dst, etype)
     state = ClusterState(
         geometry=geometry,
         min_pts=min_pts,

@@ -51,7 +51,7 @@ Observability is opt-in via :mod:`repro.obs`: pass a
 phase → task → attempt span timeline (with fault events), and
 ``profile=True`` for merged per-task cProfile capture.  Every engine
 keeps its run records (per-task stats, phase and setup buckets, fault
-events, broadcast bytes, the merge-round ledger) in a
+events, broadcast bytes) in a
 :class:`~repro.engine.counters.Counters`.
 """
 

@@ -26,10 +26,10 @@ Two accounting rules keep the figures honest:
   :meth:`Counters.total_seconds`: a chaos run reports the same phase
   fractions as a calm one, plus an event ledger on the side.
 
-These are run records, not metrics: per-task rows with worker ids, the
-merge-round ledger, and :meth:`Counters.mark` / :meth:`Counters.since`
-deltas.  Live metrics of the serving plane and the tracer's optional
-attempt histograms live in :class:`~repro.obs.metrics.MetricsRegistry`.
+These are run records, not metrics: per-task rows with worker ids and
+:meth:`Counters.mark` / :meth:`Counters.since` deltas.  Live metrics of
+the serving plane and the tracer's optional attempt histograms live in
+:class:`~repro.obs.metrics.MetricsRegistry`.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ class CountersMark:
     setup_seconds: dict[str, float]
     fault_events: dict[str, int] = field(default_factory=dict)
     broadcast_bytes: dict[str, int] = field(default_factory=dict)
-    merge_rounds: int = 0
 
 
 @dataclass
@@ -103,12 +102,6 @@ class Counters:
     #: channel maps instead of copying).  Serialized-bytes accounting of
     #: the engine's broadcast fan-outs; no timing semantics.
     broadcast_bytes: dict[str, int] = field(default_factory=dict)
-    #: Phase III-1 merge-round ledger: one dict per tournament round
-    #: (``resolved``, ``removed``, ``wall_s``), recorded by
-    #: :func:`~repro.core.merging.progressive_merge`.  Like the fault
-    #: ledger these rows never enter :meth:`breakdown` — round wall time
-    #: already lands in the Phase III-1 bucket.
-    merge_rounds: list[dict] = field(default_factory=list)
 
     def record_task(self, phase: str, stats: TaskStats) -> None:
         """Append one task's stats under ``phase``."""
@@ -135,12 +128,6 @@ class Counters:
     def broadcast_total_bytes(self) -> int:
         """Total broadcast bytes across every channel."""
         return sum(self.broadcast_bytes.values())
-
-    def add_merge_round(self, *, resolved: int, removed: int, wall_s: float) -> None:
-        """Record one Phase III-1 tournament round in the merge ledger."""
-        self.merge_rounds.append(
-            {"resolved": resolved, "removed": removed, "wall_s": wall_s}
-        )
 
     def fault_event_count(self, kind: str) -> int:
         """Number of fault-recovery events recorded under ``kind``."""
@@ -248,7 +235,6 @@ class Counters:
             setup_seconds=dict(self.setup_seconds),
             fault_events=dict(self.fault_events),
             broadcast_bytes=dict(self.broadcast_bytes),
-            merge_rounds=len(self.merge_rounds),
         )
 
     def since(self, mark: CountersMark) -> Counters:
@@ -279,6 +265,4 @@ class Counters:
             diff = nbytes - mark.broadcast_bytes.get(channel, 0)
             if diff > 0:
                 delta.add_broadcast_bytes(channel, diff)
-        for row in self.merge_rounds[mark.merge_rounds:]:
-            delta.add_merge_round(**row)
         return delta

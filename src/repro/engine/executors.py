@@ -692,8 +692,6 @@ class Engine:
         dispatched to the node agents listed in ``nodes``).
     num_workers:
         Worker count for the ``process`` mode; defaults to the CPU count.
-    counters:
-        Optional pre-existing :class:`Counters` to accumulate into.
     start_method:
         Multiprocessing start method for the pool (``"fork"`` or
         ``"spawn"``); defaults per platform.  The engine is spawn-safe:
@@ -754,7 +752,6 @@ class Engine:
         self,
         mode: str = "serial",
         num_workers: int | None = None,
-        counters: Counters | None = None,
         *,
         start_method: str | None = None,
         fault_policy: FaultPolicy | None = None,
@@ -795,7 +792,7 @@ class Engine:
             self.num_workers = (
                 num_workers if num_workers is not None else _default_workers()
             )
-        self.counters = counters if counters is not None else Counters()
+        self.counters = Counters()
         self.start_method = start_method if start_method is not None else _default_start_method()
         self.fault_policy = fault_policy
         self.tracer = tracer if tracer is not None else NULL_TRACER

@@ -19,9 +19,10 @@ damage detection — is the battle-tested local code path) and speaks the
   forwards undecoded (a pool worker unpickles them, so the agent's
   event loop never imports a task module); the agent rewrites the
   driver's broadcast epoch to the local pool epoch and submits to its
-  pool.  Results (or failures) stream back as RESULT frames, tagged
-  with the driver's flight id, as they complete — the agent never
-  serializes the phase.
+  pool.  The worker pickles the result too, and the agent forwards
+  those bytes: results (or failures) stream back as RESULT frames,
+  tagged with the driver's flight id, as they complete — the agent
+  never serializes the phase.
 * **Local fault tolerance** — a watchdog notices local worker death
   (``_pool_damaged``), respawns the pool, re-installs the current
   broadcast, and fails the in-flight tasks back to the driver with a
@@ -61,15 +62,17 @@ __all__ = ["NodeAgent"]
 
 def _run_encoded_task(payload: tuple) -> tuple:
     """Pool-worker body of one remote attempt: unpickle the driver's fn
-    and task blobs here, then run :func:`_run_task`.  A payload that
-    cannot be decoded fails as the task's own error."""
+    and task blobs here, run :func:`_run_task`, and pickle its result
+    here too, so the agent forwards bytes it never decodes.  A payload
+    that cannot be decoded fails as the task's own error."""
     fn_blob, task_id, task_blob, *rest = payload
     try:
         fn = pickle.loads(fn_blob)
         task = pickle.loads(task_blob)
     except Exception as exc:
         raise RuntimeError(f"could not unpickle task {task_id}: {exc!r}") from None
-    return _run_task((fn, task_id, task, *rest))
+    task_id, result, *timing = _run_task((fn, task_id, task, *rest))
+    return (task_id, pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL), *timing)
 
 
 class NodeAgent:
@@ -354,13 +357,13 @@ class NodeAgent:
             self._send_failure(msg, error=exc, requeue=requeue)
             return
         del self._pending[msg["flight"]]
-        task_id, result, elapsed, pid, _start_ts, blob = res
+        task_id, result_blob, elapsed, pid, _start_ts, blob = res
         self.tasks_run += 1
         body = {
             "flight": msg["flight"],
             "task_id": task_id,
             "ok": True,
-            "result": pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL),
+            "result": result_blob,
             "elapsed": elapsed,
             "pid": pid,
             "profile": blob,

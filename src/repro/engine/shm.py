@@ -11,7 +11,7 @@ of the worker count.
 The mechanism is transparent to the broadcast *value*: a custom pickler
 (:func:`export_broadcast`) walks the object graph and swaps every
 :class:`~repro.core.dictionary.FlatCellDictionary` it meets — no matter
-how deeply nested inside ``QueryContext``/``LabelingContext``/tuples —
+how deeply nested inside ``QueryContext``/tuples —
 for a persistent-id reference into the segment; the worker-side
 unpickler (:func:`import_broadcast`) resolves those references to the
 attached views.  A broadcast containing no flat dictionary exports to a

@@ -71,10 +71,10 @@ def connected_components_arrays(
     Columnar counterpart of :func:`connected_components` for the flat
     cell graph: vertices are ``0 .. n_slots - 1`` and the edge list is a
     pair of integer arrays.  Components are numbered in ascending order
-    of their smallest member, which matches
-    :meth:`~repro.graph.union_find.UnionFind.component_labels` on integer
-    vertices — the labeling depends only on connectivity, not on which
-    spanning-forest edges produced it.
+    of their smallest member (numerically, where
+    :meth:`~repro.graph.union_find.UnionFind.component_labels` compares
+    decimal strings) — the labeling depends only on connectivity, not
+    on which spanning-forest edges produced it.
     """
     uf = ArrayUnionFind(n_slots)
     for u, v in zip(src.tolist(), dst.tolist()):

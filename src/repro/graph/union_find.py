@@ -202,17 +202,6 @@ class ArrayUnionFind:
             if parent[item] != item:
                 self.union(item, other.find(item))
 
-    def to_array(self) -> np.ndarray:
-        """Parent table as an ``int32`` array (for serialization)."""
-        return np.asarray(self._parent, dtype=np.int32)
-
-    @classmethod
-    def from_array(cls, parent: np.ndarray) -> "ArrayUnionFind":
-        """Rebuild from a parent table produced by :meth:`to_array`."""
-        clone = cls.__new__(cls)
-        clone._parent = [int(p) for p in parent.tolist()]
-        return clone
-
     def roots(self) -> np.ndarray:
         """Fully-compressed root per slot as an ``int32`` array."""
         parent = np.asarray(self._parent, dtype=np.int32)

@@ -9,8 +9,9 @@ authors: who ran what, when, where, and what it cost.
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` with counters,
   gauges, and fixed-bucket histograms: the serve plane's live metrics
   and the tracer's optional attempt histograms.  A fit's run records
-  (per-task rows, phase buckets, the merge-round ledger) stay in
-  :class:`~repro.engine.counters.Counters`.
+  (per-task rows, phase buckets) stay in
+  :class:`~repro.engine.counters.Counters`; the merge-round ledger is
+  an annotation on the Phase III-1 span.
 * :mod:`repro.obs.exporters` — JSONL span logs (round-trippable) and
   Chrome ``trace_event`` JSON for ``chrome://tracing`` / Perfetto.
 * :mod:`repro.obs.report` — the human-readable run report: phase

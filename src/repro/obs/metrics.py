@@ -6,7 +6,7 @@ predict server keeps its live metrics here (latency and batch-size
 histograms, queue-depth and epoch gauges, request counters), and a
 ``Tracer(metrics=registry)`` observes every closed attempt span into a
 ``task_seconds.<phase>`` histogram.  A fit's run record — per-task rows,
-worker ids, the merge ledger — stays in
+worker ids, phase buckets — stays in
 :class:`~repro.engine.counters.Counters`.
 """
 

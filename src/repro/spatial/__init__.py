@@ -8,7 +8,6 @@ the package.
 
 from repro.spatial.distance import (
     euclidean,
-    pairwise_distances,
     points_within,
     squared_distances,
 )
@@ -24,7 +23,6 @@ from repro.spatial.mbr import MBR
 
 __all__ = [
     "euclidean",
-    "pairwise_distances",
     "points_within",
     "squared_distances",
     "GridSpec",

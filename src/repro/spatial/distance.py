@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "euclidean",
     "squared_distances",
-    "pairwise_distances",
     "seq_squared_distances",
     "sum_of_squares",
     "points_within",
@@ -49,25 +48,6 @@ def squared_distances(points: np.ndarray, center: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense matrix of Euclidean distances between rows of ``a`` and ``b``.
-
-    Uses the expansion ``|a - b|^2 = |a|^2 + |b|^2 - 2 a.b`` which is much
-    faster than broadcasting the difference tensor for moderate sizes.
-    Negative values caused by floating-point cancellation are clipped to
-    zero before the square root.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("pairwise_distances expects 2-d arrays")
-    a_sq = np.einsum("ij,ij->i", a, a)[:, None]
-    b_sq = np.einsum("ij,ij->i", b, b)[None, :]
-    sq = a_sq + b_sq - 2.0 * (a @ b.T)
-    np.maximum(sq, 0.0, out=sq)
-    return np.sqrt(sq)
-
-
 def seq_squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise *squared* distances with a bit-reproducible summation.
 
@@ -77,12 +57,14 @@ def seq_squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``acc += (a[i, k] - b[j, k])**2`` for ``k = 0..d-1``.  IEEE 754
     elementwise operations are exactly rounded, so this matches a plain
     scalar loop (and therefore the compiled Phase II kernels, which run
-    that loop) to the bit.  The BLAS expansion used by
-    :func:`pairwise_distances` does not have this property: its dot
-    products may reorder and fuse, drifting by ulps near a threshold.
+    that loop) to the bit.  The expansion
+    ``|a|^2 + |b|^2 - 2 a.b`` has neither property: its dot products may
+    reorder and fuse, and it cancels once coordinates are large next to
+    the distance (at ``2**26`` a true distance of 0.27 reads 1.41).
 
-    This is the distance backbone of the (eps, rho)-region query's
-    ``within`` decision; the ``kernel={numpy,numba}`` bit-identity
+    This is the distance backbone of every within-eps test: the
+    (eps, rho)-region query, Phase III-2's border checks, predict, and
+    the exact baselines; the ``kernel={numpy,numba}`` bit-identity
     contract rests on both backends sharing this exact sequence.
     """
     a = np.asarray(a, dtype=np.float64)

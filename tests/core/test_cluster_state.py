@@ -521,10 +521,11 @@ class TestRPSTRoundTrip:
         blob = serialize_cluster_state(state)
         assert blob.endswith(struct.pack("<q", state.num_points) + payload)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_refuses_older_versions(self, version):
         # Version 1 lacks the neighbor counts; version 2 still carries
-        # the merge-mode string after the candidate strategy.
+        # the merge-mode string after the candidate strategy; version 3
+        # the graph's pending edges and union-find parents.
         blob = bytearray(serialize_cluster_state(_fit(_blobs(47, 120)).state))
         blob[4:6] = struct.pack("<H", version)
         with pytest.raises(ValueError, match=f"RPST version {version}"):

@@ -94,7 +94,7 @@ class TestSubgraphStructure:
         _, partitions, context = setup
         for partition in partitions:
             result = build_cell_subgraph(partition, context, 10)
-            owned = {context.dictionary.row_of(c) for c in partition.cell_slices}
+            owned = set(partition.rows.tolist())
             classified = result.graph.core | result.graph.noncore
             assert owned == classified
 
@@ -102,7 +102,7 @@ class TestSubgraphStructure:
         _, partitions, context = setup
         for partition in partitions:
             result = build_cell_subgraph(partition, context, 10)
-            owned = {context.dictionary.row_of(c) for c in partition.cell_slices}
+            owned = set(partition.rows.tolist())
             for src, dst, edge_type in edges(result.graph):
                 assert src in owned
                 if dst in owned:

@@ -180,23 +180,25 @@ class TestFlatGraphUnits:
         assert g._pending == [0]
         assert g.reduce_full_edges() == 0  # first tree edge survives
 
-    def test_absorb_overlap_falls_back_to_reference(self):
-        # Hand-built graphs can share an edge key; the result must match
-        # the dict reference's determined-wins semantics exactly.
-        a = FlatCellGraph(2)
+    def test_absorb_rejects_shared_source(self):
+        # Each cell has one owning partition, so two subgraphs never
+        # hold edges from the same source cell; hand-built ones may.
+        a = FlatCellGraph(3)
         a.add_core_cell(0)
         a.add_undetermined_cell(1)
         a.add_edge(0, 1, EdgeType.UNDETERMINED)
-        b = FlatCellGraph(2)
+        b = FlatCellGraph(3)
         b.add_core_cell(0)
-        b.add_core_cell(1)
-        b.add_edge(0, 1, EdgeType.FULL)
-        ref_a, ref_b = a.to_cell_graph(), b.to_cell_graph()
-        a.absorb(b)
-        ref_a.absorb(ref_b)
-        assert a.num_edges == ref_a.num_edges == 1
-        for etype in EdgeType:
-            assert a.edges_of_type(etype) == ref_a.edges_of_type(etype)
+        b.add_core_cell(2)
+        b.add_edge(0, 2, EdgeType.FULL)
+        with pytest.raises(ValueError, match="share edge source cell 0"):
+            a.absorb(b)
+        # A shared destination is fine.
+        c = FlatCellGraph(3)
+        c.add_core_cell(2)
+        c.add_edge(2, 1, EdgeType.UNDETERMINED)
+        a.absorb(c)
+        assert a.num_edges == 2
 
     def test_absorb_universe_mismatch(self):
         with pytest.raises(ValueError, match="universe"):
@@ -247,15 +249,6 @@ class TestArrayUnionFind:
         assert a.connected(2, 3)
         with pytest.raises(ValueError, match="universe"):
             a.merge_from(ArrayUnionFind(5))
-
-    def test_array_round_trip(self):
-        uf = ArrayUnionFind(6)
-        uf.union(0, 3)
-        uf.union(4, 5)
-        back = ArrayUnionFind.from_array(uf.to_array())
-        for i in range(6):
-            for j in range(6):
-                assert back.connected(i, j) == uf.connected(i, j)
 
     def test_components_match_hash_reference(self):
         rng = np.random.default_rng(7)

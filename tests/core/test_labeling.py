@@ -29,20 +29,20 @@ def pipeline():
     results = [build_cell_subgraph(p, context, 10) for p in partitions]
     graph, _ = progressive_merge([r.graph for r in results])
     core_masks = {r.pid: r.core_mask for r in results}
-    labeling = build_labeling_context(
-        graph, partitions, core_masks, geometry.eps, dictionary
-    )
+    labeling = build_labeling_context(graph, partitions, core_masks, geometry.eps)
     return pts, partitions, results, graph, labeling
 
 
 class TestLabelingContext:
     def test_every_core_cell_has_cluster(self, pipeline):
         _, _, _, graph, labeling = pipeline
-        assert set(labeling.cell_labels) == graph.core
+        assert labeling.cell_labels.shape == (graph.n_slots,)
+        assert set(np.flatnonzero(labeling.cell_labels >= 0).tolist()) == graph.core
+        assert (labeling.cell_labels >= NOISE).all()
 
     def test_cluster_ids_dense(self, pipeline):
         _, _, _, _, labeling = pipeline
-        ids = set(labeling.cell_labels.values())
+        ids = set(labeling.cell_labels.tolist()) - {NOISE}
         assert ids == set(range(len(ids)))
 
     def test_n_clusters(self, pipeline):
@@ -51,7 +51,13 @@ class TestLabelingContext:
 
     def test_predecessors_sorted_core_cells(self, pipeline):
         _, _, _, graph, labeling = pipeline
-        for dst, preds in labeling.predecessors.items():
+        offsets = labeling.predecessor_offsets
+        assert offsets.shape == (graph.n_slots + 1,)
+        assert offsets[-1] == labeling.predecessors.size > 0
+        for dst in range(graph.n_slots):
+            preds = labeling.predecessors[offsets[dst] : offsets[dst + 1]].tolist()
+            if not preds:
+                continue
             assert preds == sorted(preds)
             assert dst in graph.noncore
             for pred in preds:
@@ -59,10 +65,18 @@ class TestLabelingContext:
 
     def test_predecessor_points_are_core(self, pipeline):
         pts, partitions, results, _, labeling = pipeline
-        for cell_id, core_points in labeling.predecessor_core_points.items():
-            # Each stored point must be a real data point marked core.
-            for p in core_points:
-                assert np.any(np.all(np.isclose(pts, p), axis=1))
+        core_points = np.concatenate(
+            [p.points[r.core_mask] for p, r in zip(partitions, results)]
+        )
+        offsets = labeling.core_point_offsets
+        sources = set(labeling.predecessors.tolist())
+        for row in range(offsets.size - 1):
+            block = labeling.core_points[offsets[row] : offsets[row + 1]]
+            # Exactly the partial-edge sources carry points, and each
+            # stored point must be a real data point marked core.
+            assert (block.shape[0] > 0) == (row in sources)
+            for p in block:
+                assert np.any(np.all(core_points == p, axis=1))
 
 
 class TestLabelPartition:
@@ -70,9 +84,10 @@ class TestLabelPartition:
         _, partitions, _, _, labeling = pipeline
         for partition in partitions:
             _, labels = label_partition(partition, labeling)
-            for cell_id, (start, stop) in partition.cell_slices.items():
-                cluster = labeling.cell_labels.get(labeling.dictionary.row_of(cell_id))
-                if cluster is not None:
+            for g, row in enumerate(partition.rows):
+                start, stop = partition.offsets[g], partition.offsets[g + 1]
+                cluster = labeling.cell_labels[row]
+                if cluster != NOISE:
                     assert np.all(labels[start:stop] == cluster)
 
     def test_border_points_within_eps_of_core(self, pipeline):
@@ -83,8 +98,9 @@ class TestLabelPartition:
         )
         for partition in partitions:
             _, labels = label_partition(partition, labeling)
-            for cell_id, (start, stop) in partition.cell_slices.items():
-                if labeling.dictionary.row_of(cell_id) in labeling.cell_labels:
+            for g, cell in enumerate(partition.rows):
+                start, stop = partition.offsets[g], partition.offsets[g + 1]
+                if labeling.cell_labels[cell] != NOISE:
                     continue
                 for row in range(start, stop):
                     if labels[row] != NOISE:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.cells import CellGeometry
-from repro.core.partitioning import pseudo_random_partition, true_random_partition
+from repro.core.dictionary import FlatCellDictionary
+from repro.core.partitioning import pseudo_random_partition
 
 
 @pytest.fixture()
@@ -27,21 +28,24 @@ class TestPseudoRandomPartition:
     def test_cells_never_split(self, points, geometry):
         # Every cell's points land in exactly one partition.
         partitions = pseudo_random_partition(points, geometry, 5, seed=0)
-        owners: dict[tuple, int] = {}
-        for p in partitions:
-            for cell_id in p.cell_slices:
-                assert cell_id not in owners, "cell appears in two partitions"
-                owners[cell_id] = p.pid
+        rows = np.concatenate([p.rows for p in partitions])
+        assert np.unique(rows).size == rows.size, "cell appears in two partitions"
 
-    def test_cell_slices_consistent(self, points, geometry):
+    def test_cell_offsets_consistent(self, points, geometry):
+        # Rows are the merged dictionary's rows, ascending; each CSR
+        # range holds exactly that cell's points, ascending global index.
+        dictionary = FlatCellDictionary.from_points(points, geometry)
         partitions = pseudo_random_partition(points, geometry, 4, seed=1)
         for p in partitions:
-            covered = 0
-            for cell_id, (start, stop) in p.cell_slices.items():
+            assert np.all(np.diff(p.rows) > 0)
+            assert p.offsets[0] == 0 and p.offsets[-1] == p.num_points
+            for g, row in enumerate(p.rows):
+                start, stop = p.offsets[g], p.offsets[g + 1]
                 ids = geometry.cell_ids(p.points[start:stop])
-                assert np.all(ids == np.array(cell_id))
-                covered += stop - start
-            assert covered == p.num_points
+                assert stop > start
+                assert np.all(ids == dictionary.cell_ids[row])
+                assert np.all(np.diff(p.global_indices[start:stop]) > 0)
+        assert sum(p.num_cells for p in partitions) == dictionary.num_cells
 
     def test_global_indices_match_points(self, points, geometry):
         partitions = pseudo_random_partition(points, geometry, 3, seed=2)
@@ -100,26 +104,11 @@ class TestPseudoRandomPartition:
 
     def test_partition_helpers(self, points, geometry):
         [p] = pseudo_random_partition(points, geometry, 1, seed=0)
-        cell_id = next(iter(p.cell_slices))
+        dictionary = FlatCellDictionary.from_points(points, geometry)
         np.testing.assert_array_equal(
-            points[p.cell_global_indices(cell_id)], p.cell_points(cell_id)
+            p.point_rows(), dictionary.find_rows(geometry.cell_ids(p.points))
         )
-
-
-class TestTrueRandomPartition:
-    def test_is_a_partition_of_points(self, points, geometry):
-        partitions = true_random_partition(points, geometry, 5, seed=0)
-        indices = np.concatenate([p.global_indices for p in partitions])
-        assert sorted(indices.tolist()) == list(range(points.shape[0]))
-
-    def test_splits_cells_across_partitions(self, geometry):
-        # The defining difference from pseudo random partitioning.
-        pts = np.tile([0.2, 0.2], (100, 1))  # all in one cell
-        partitions = true_random_partition(pts, geometry, 4, seed=0)
-        holders = [p for p in partitions if p.num_points]
-        assert len(holders) == 4
-
-    def test_sizes_nearly_equal(self, points, geometry):
-        partitions = true_random_partition(points, geometry, 7, seed=0)
-        sizes = [p.num_points for p in partitions]
-        assert max(sizes) - min(sizes) <= 1
+        local = np.array([5, 0, 17])
+        np.testing.assert_array_equal(
+            p.take(local), points[p.global_indices[local]]
+        )

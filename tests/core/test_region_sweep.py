@@ -326,7 +326,8 @@ class TestSweepEdges:
             pid=3,
             points=np.empty((0, 2)),
             global_indices=np.empty(0, dtype=np.int64),
-            cell_slices={},
+            rows=np.empty(0, dtype=np.int64),
+            offsets=np.zeros(1, dtype=np.int64),
         )
         result = build_cell_subgraph(empty, QueryContext(dictionary), 2)
         assert result.core_mask.size == 0 and result.num_queries == 0
@@ -340,14 +341,12 @@ class TestSweepEdges:
         points = np.array([[0.1, 0.1], [0.9, 0.1], [5.0, 5.0]])
         dictionary = FlatCellDictionary.from_points(points, geometry)
         assert dictionary.num_cells == 3
-        cells = geometry.cell_ids(points)
         partition = Partition(
             pid=0,
             points=points,
             global_indices=np.arange(3),
-            cell_slices={
-                tuple(int(v) for v in c): (i, i + 1) for i, c in enumerate(cells)
-            },
+            rows=dictionary.find_rows(geometry.cell_ids(points)),
+            offsets=np.arange(4),
         )
         result = build_cell_subgraph(partition, QueryContext(dictionary), 1)
         assert result.core_mask.all()

@@ -5,6 +5,9 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core import RPDBSCAN
+from repro.core.cells import CellGeometry
+from repro.core.partitioning import pseudo_random_partition
 from repro.data.streaming import (
     ArraySource,
     ChunkedNpzSource,
@@ -84,6 +87,27 @@ class TestSourceContract:
         source = build(tmp_path, pts)
         clone = pickle.loads(pickle.dumps(source))
         np.testing.assert_array_equal(clone.take(np.arange(10)), pts[:10])
+
+    @pytest.mark.parametrize("method", ["random_key", "shuffle"])
+    def test_partitions_match_the_eager_grouping(self, build, tmp_path, pts, method):
+        # Cells span several 32-row chunks; merging the chunk tables
+        # must reproduce the one-chunk grouping of the eager array.
+        source = build(tmp_path, pts)
+        geometry = CellGeometry(1.5, 3, 0.01)
+        eager = pseudo_random_partition(pts, geometry, 4, seed=3, method=method)
+        streamed = pseudo_random_partition(source, geometry, 4, seed=3, method=method)
+        assert max(np.diff(p.offsets).max(initial=0) for p in eager) > 4
+        for want, got in zip(eager, streamed, strict=True):
+            np.testing.assert_array_equal(got.rows, want.rows)
+            np.testing.assert_array_equal(got.offsets, want.offsets)
+            np.testing.assert_array_equal(got.global_indices, want.global_indices)
+            np.testing.assert_array_equal(got.points, want.points)
+        model = RPDBSCAN(1.5, 8, num_partitions=4, seed=3)
+        want_fit = model.fit(pts)
+        assert want_fit.n_clusters >= 1
+        got_fit = model.fit(source)
+        np.testing.assert_array_equal(got_fit.labels, want_fit.labels)
+        np.testing.assert_array_equal(got_fit.core_mask, want_fit.core_mask)
 
 
 class TestMemmapSource:

@@ -19,7 +19,9 @@ drives them through ``Engine("remote", nodes=...)``:
   caller, the late answers of that map's other attempts never answer
   the next map, a node death fails the phase naming the node, and a
   task module that is slow to import does not stall the agent's
-  heartbeats.
+  heartbeats;
+* **one encode per result** — a pool worker pickles each result and
+  the agent forwards the bytes undecoded.
 """
 
 from __future__ import annotations
@@ -163,6 +165,25 @@ class TestRemoteMapTasks:
     def test_remote_mode_needs_nodes(self):
         with pytest.raises(ValueError, match="nodes"):
             Engine("remote")
+
+    def test_results_are_pickled_once_in_the_worker(self, tmp_path):
+        # The pool worker pickles each result and the agent forwards the
+        # bytes: no result is pickled by the agent, whose parent is
+        # this test process.
+        from . import pickle_probe_task
+
+        path = str(tmp_path / "pickles.txt")
+        with loopback_nodes(num_nodes=1, workers=1) as addrs:
+            with Engine("remote", nodes=addrs) as engine:
+                results = run_bounded(
+                    lambda: engine.map_tasks(pickle_probe_task.probe, [path] * 3)
+                )
+        [agent] = {r.agent_pid for r in results}
+        assert agent != os.getpid()
+        with open(path) as handle:
+            records = [tuple(map(int, line.split())) for line in handle]
+        assert len(records) == 3
+        assert {ppid for _, ppid in records} == {agent}
 
     def test_node_ledger_is_none_off_remote(self):
         with Engine("serial") as engine:

@@ -6,8 +6,8 @@ import pytest
 from repro.spatial.distance import (
     count_within,
     euclidean,
-    pairwise_distances,
     points_within,
+    seq_squared_distances,
     squared_distances,
 )
 
@@ -42,29 +42,39 @@ class TestSquaredDistances:
         assert out.shape == (0,)
 
 
+def _scalar_squared(p, q):
+    acc = 0.0
+    for k in range(p.size):
+        acc += (p[k] - q[k]) ** 2
+    return acc
+
+
 class TestPairwiseDistances:
+    """:func:`seq_squared_distances`, the pairwise squared distances
+    every within-eps test uses."""
+
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(20, 4))
         b = rng.normal(size=(30, 4))
-        out = pairwise_distances(a, b)
-        brute = np.array([[euclidean(p, q) for q in b] for p in a])
-        np.testing.assert_allclose(out, brute, atol=1e-9)
+        out = seq_squared_distances(a, b)
+        brute = np.array([[_scalar_squared(p, q) for q in b] for p in a])
+        np.testing.assert_array_equal(out, brute)
 
-    def test_no_negative_sqrt_warnings(self):
-        # Identical points stress the |a|^2+|b|^2-2ab cancellation.
-        a = np.tile([1e8, -1e8], (10, 1))
-        out = pairwise_distances(a, a)
-        assert np.all(out >= 0)
-        np.testing.assert_allclose(np.diag(out), 0.0, atol=1e-2)
+    def test_large_coordinates_do_not_cancel(self):
+        # |a|^2 + |b|^2 - 2ab cancels here: 0.269 away read as 1.414.
+        a = np.array([[-1.25, -102 / 1024], [-1.0, 0.0]]) + 2.0**26
+        out = seq_squared_distances(a, a)
+        np.testing.assert_array_equal(np.diag(out), 0.0)
+        assert out[0, 1] == out[1, 0] == 0.25**2 + (102 / 1024) ** 2
 
     def test_shape(self):
-        out = pairwise_distances(np.zeros((3, 2)), np.zeros((5, 2)))
+        out = seq_squared_distances(np.zeros((3, 2)), np.zeros((5, 2)))
         assert out.shape == (3, 5)
 
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
-            pairwise_distances(np.zeros(3), np.zeros((5, 3)))
+            seq_squared_distances(np.zeros(3), np.zeros((5, 3)))
 
 
 class TestPointsWithin:

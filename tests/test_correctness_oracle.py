@@ -126,6 +126,66 @@ class TestDegenerateDatasets:
         assert _oracle_check(points, eps=1.2, min_pts=5) == 1.0
 
 
+def _large_offset_fixture() -> np.ndarray:
+    """One cluster around the origin with three border points, each
+    0.27 from a core point and farther than eps from every other."""
+    rng = np.random.default_rng(1)
+    points = np.concatenate(
+        [
+            rng.uniform(-0.1, 0.1, (30, 2)),
+            [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]],
+            [[1.25, 0.1], [0.1, 1.25], [-1.25, -0.1]],
+        ]
+    )
+    # Multiples of 1/1024 stay exact after a translation by 2**30.
+    return np.round(points * 1024) / 1024
+
+
+def _brute_force_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
+    """Exact DBSCAN from coordinate differences; border points join
+    their nearest core point's cluster, clusters numbered in order of
+    first appearance."""
+    diff = points[:, None, :] - points[None, :, :]
+    d2 = (diff * diff).sum(axis=-1)
+    within = d2 <= eps * eps
+    core = within.sum(axis=1) >= min_pts
+    labels = np.full(points.shape[0], -1, dtype=np.int64)
+    cluster = 0
+    for seed in np.flatnonzero(core):
+        if labels[seed] >= 0:
+            continue
+        labels[seed] = cluster
+        frontier = [seed]
+        while frontier:
+            reach = np.flatnonzero(within[frontier].any(axis=0) & core)
+            frontier = reach[labels[reach] < 0].tolist()
+            labels[frontier] = cluster
+        cluster += 1
+    for i in np.flatnonzero(~core):
+        near = np.flatnonzero(within[i] & core)
+        if near.size:
+            labels[i] = labels[near[np.argmin(d2[i, near])]]
+    return labels
+
+
+class TestLargeCoordinates:
+    """Within-eps tests subtract coordinates before squaring: the
+    ``|a|^2 + |b|^2 - 2ab`` expansion cancels far from the origin and
+    turned these border points into noise."""
+
+    @pytest.mark.parametrize("offset", [2.0**20, 2.0**26, 2.0**30])
+    def test_translation_keeps_labels(self, offset):
+        points = _large_offset_fixture()
+        moved = points + offset
+        reference = RPDBSCAN(1.0, 5, num_partitions=4, rho=0).fit(points).labels
+        oracle = _brute_force_labels(moved, 1.0, 5)
+        np.testing.assert_array_equal(oracle, reference)
+        assert (reference >= 0).all()
+        rp = RPDBSCAN(1.0, 5, num_partitions=4, rho=0).fit(moved)
+        np.testing.assert_array_equal(rp.labels, reference)
+        np.testing.assert_array_equal(ExactDBSCAN(1.0, 5).fit(moved).labels, reference)
+
+
 class TestApproximateModeBound:
     """rho > 0 is allowed to flip eps-boundary points only (Lemma 2)."""
 

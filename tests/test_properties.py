@@ -85,11 +85,8 @@ class TestPartitioningProperties:
     def test_cells_stay_whole(self, points, k, seed):
         geometry = CellGeometry(0.5, 2, 0.1)
         partitions = pseudo_random_partition(points, geometry, k, seed=seed)
-        seen: set = set()
-        for p in partitions:
-            for cell in p.cell_slices:
-                assert cell not in seen
-                seen.add(cell)
+        rows = np.concatenate([p.rows for p in partitions])
+        assert np.unique(rows).size == rows.size
 
 
 class TestDictionaryProperties:

@@ -14,7 +14,7 @@ from repro.baselines.region_split import (
 from repro.core.cells import CellGeometry
 from repro.core.dictionary import CellDictionary
 from repro.core.serialization import deserialize_dictionary, serialize_dictionary
-from repro.spatial.distance import euclidean, pairwise_distances
+from repro.spatial.distance import euclidean, seq_squared_distances
 from repro.spatial.kdtree import KDTree
 
 SETTINGS = settings(
@@ -42,17 +42,17 @@ class TestDistanceProperties:
     @SETTINGS
     @given(points=points_nd)
     def test_pairwise_symmetry_and_diagonal(self, points):
-        dist = pairwise_distances(points, points)
-        np.testing.assert_allclose(dist, dist.T, atol=1e-7)
-        assert np.all(np.abs(np.diag(dist)) < 1e-5)
+        d2 = seq_squared_distances(points, points)
+        np.testing.assert_array_equal(d2, d2.T)
+        np.testing.assert_array_equal(np.diag(d2), 0.0)
 
     @SETTINGS
     @given(points=points_nd, shift=st.floats(-5, 5, allow_nan=False))
     def test_translation_invariance(self, points, shift):
         moved = points + shift
         np.testing.assert_allclose(
-            pairwise_distances(points, points),
-            pairwise_distances(moved, moved),
+            seq_squared_distances(points, points),
+            seq_squared_distances(moved, moved),
             atol=1e-6,
         )
 
