@@ -18,6 +18,7 @@ during Phase III.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,6 +134,11 @@ class SubgraphResult:
         an ingest can add the new points' share instead of recounting.
     num_queries:
         Number of (eps, rho)-region queries executed (one per point).
+    stage_seconds:
+        Wall seconds of the task's Phase II stages: the sweep's
+        ``candidates``, ``classify`` and ``distance``
+        (:attr:`~repro.core.region_query.PartitionQueryResult.seconds`)
+        and ``assembly`` (core cells, edges and the subgraph).
     """
 
     pid: int
@@ -140,6 +146,7 @@ class SubgraphResult:
     core_mask: np.ndarray
     counts: np.ndarray
     num_queries: int
+    stage_seconds: dict[str, float] = field(default_factory=dict)
 
 
 def build_cell_subgraph(
@@ -176,16 +183,19 @@ def build_cell_subgraph(
     result = context.engine.query_partition(
         dictionary.cell_ids[rows], partition.points, bounds, float(min_pts)
     )
+    clock = time.perf_counter()
     core_mask = result.counts >= float(min_pts)
     core_rows = rows[np.add.reduceat(core_mask, bounds[:-1]) > 0] if rows.size else rows
 
     src, dst = touched_edges(rows, result)
+    graph = assemble_subgraph(dictionary.num_cells, rows, core_rows, src, dst)
     return SubgraphResult(
         pid=partition.pid,
-        graph=assemble_subgraph(dictionary.num_cells, rows, core_rows, src, dst),
+        graph=graph,
         core_mask=core_mask,
         counts=result.counts,
         num_queries=partition.num_points,
+        stage_seconds={**result.seconds, "assembly": time.perf_counter() - clock},
     )
 
 

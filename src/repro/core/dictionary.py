@@ -56,12 +56,15 @@ def lex_keys(ids: np.ndarray) -> np.ndarray:
     return ids.view([("", ids.dtype)] * ids.shape[1]).reshape(ids.shape[0])
 
 
-def csr_gather_indices(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+def csr_gather_indices(
+    starts: np.ndarray, sizes: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Row indices selecting ``m`` variable-length runs from a CSR pool.
 
     Given run ``j`` starting at ``starts[j]`` with ``sizes[j]`` rows,
     returns the ``sizes.sum()`` indices enumerating every run in order —
-    without a python-level loop.  Empty runs are allowed.
+    without a python-level loop.  Empty runs are allowed.  ``out`` (int64,
+    exactly ``sizes.sum()`` long) receives them instead of a new array.
     """
     starts = np.asarray(starts, dtype=np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)
@@ -70,14 +73,15 @@ def csr_gather_indices(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         starts, sizes = starts[nonzero], sizes[nonzero]
     total = int(sizes.sum())
     if total == 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64) if out is None else out
     # Within a run the index advances by 1; at each run boundary it jumps
     # to the next run's start.  Encode the deltas, then prefix-sum.
-    deltas = np.ones(total, dtype=np.int64)
+    deltas = np.empty(total, dtype=np.int64) if out is None else out
+    deltas.fill(1)
     deltas[0] = starts[0]
     boundaries = np.cumsum(sizes)[:-1]
     deltas[boundaries] = starts[1:] - (starts[:-1] + sizes[:-1] - 1)
-    return np.cumsum(deltas)
+    return np.cumsum(deltas, out=deltas)
 
 
 def segment_distinct_counts(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:

@@ -23,8 +23,8 @@ import numpy as np
 from repro.core.cell_graph import V_CORE, EdgeType, FlatCellGraph
 from repro.core.dictionary import csr_gather_indices
 from repro.core.partitioning import Partition
+from repro.core.region_query import segment_reduce, segmented_d2
 from repro.graph.spanning_forest import connected_components_arrays
-from repro.spatial.distance import seq_squared_distances
 
 __all__ = [
     "LabelingContext",
@@ -54,13 +54,14 @@ class LabelingContext:
         ``(C,)`` int64 cluster id per cell row (dense ints from 0);
         ``-1`` for non-core cells.
     predecessor_offsets / predecessors:
-        CSR keyed by destination row: the predecessor core cells of
-        non-core cell ``r`` (via partial edges) are
+        int32 CSR keyed by destination row: the predecessor core cells
+        of non-core cell ``r`` (via partial edges) are
         ``predecessors[predecessor_offsets[r]:predecessor_offsets[r + 1]]``,
         ascending for deterministic tie-breaking.
     core_point_offsets / core_points:
-        CSR keyed by row: the actual core points of every partial-edge
-        source cell, gathered across partitions by the driver.
+        CSR keyed by row (int32 offsets): the actual core points of
+        every partial-edge source cell, gathered across partitions by
+        the driver.
     """
 
     eps: float
@@ -89,18 +90,28 @@ class LabelingContext:
         core ``points`` of the sources (``points[i]`` lies in cell
         ``point_rows[i]``; a cell's points keep their order)."""
         order = np.argsort(point_rows, kind="stable")
-        offsets = np.zeros(graph.n_slots + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(point_rows, minlength=graph.n_slots), out=offsets[1:]
-        )
         return cls(
             eps=eps,
             cell_labels=core_cell_labels(graph),
             predecessor_offsets=predecessors[0],
             predecessors=predecessors[1],
-            core_point_offsets=offsets,
+            core_point_offsets=_int32_offsets(
+                np.bincount(point_rows, minlength=graph.n_slots)
+            ),
             core_points=points[order],
         )
+
+
+def _int32_offsets(sizes: np.ndarray) -> np.ndarray:
+    """int32 CSR offsets of ``sizes``; raises when the total does not
+    fit, rather than wrapping."""
+    offsets = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    if offsets[-1] > np.iinfo(np.int32).max:
+        raise ValueError(
+            f"{int(offsets[-1])} labeling CSR entries overflow int32 offsets"
+        )
+    return offsets.astype(np.int32)
 
 
 def core_cell_labels(graph: FlatCellGraph) -> np.ndarray:
@@ -154,10 +165,9 @@ def partial_predecessors(
         wanted = np.zeros(graph.n_slots, dtype=bool)
         wanted[cells] = True
         partial = partial[wanted[graph.dst[partial]]]
-    src = graph.src[partial].astype(np.int64)
-    dst = graph.dst[partial].astype(np.int64)
-    offsets = np.zeros(graph.n_slots + 1, dtype=np.int64)
-    np.cumsum(np.bincount(dst, minlength=graph.n_slots), out=offsets[1:])
+    src = graph.src[partial].astype(np.int32)
+    dst = graph.dst[partial]
+    offsets = _int32_offsets(np.bincount(dst, minlength=graph.n_slots))
     needed = np.zeros(graph.n_slots, dtype=bool)
     needed[src] = True
     return (offsets, src[np.lexsort((src, dst))]), needed
@@ -212,39 +222,41 @@ def label_partition(
     # start as noise.
     labels = np.repeat(cell_labels, sizes)
     pred_offsets = context.predecessor_offsets
-    border = np.flatnonzero(
-        (cell_labels == NOISE) & (pred_offsets[rows + 1] > pred_offsets[rows])
-    )
+    n_preds = pred_offsets[rows + 1] - pred_offsets[rows]
+    border = np.flatnonzero((cell_labels == NOISE) & (n_preds > 0))
     if border.size == 0:
         return partition.global_indices, labels
     # Only non-core cells with core predecessors ever need their points
     # here; take() keeps an out-of-core partition from materializing
     # wholesale just to label its (mostly core) cells.
-    pts = partition.take(csr_gather_indices(offsets[border], sizes[border]))
+    local = csr_gather_indices(offsets[border], sizes[border])
+    pts = partition.take(local)
+    # One (border point, predecessor) pair per predecessor of the
+    # point's cell, point-major, predecessors ascending; each pair
+    # checks the predecessor's core points, a CSR segment of the pool.
+    point_pairs = np.repeat(n_preds[border], sizes[border])
+    pair_point = np.repeat(np.arange(local.size, dtype=np.int64), point_pairs)
+    pair_pred = context.predecessors[
+        csr_gather_indices(
+            np.repeat(pred_offsets[rows[border]], sizes[border]), point_pairs
+        )
+    ]
+    core_offsets = context.core_point_offsets
+    seg_start = core_offsets[pair_pred]
+    reached = np.zeros(pair_pred.size, dtype=bool)
     eps2 = context.eps * context.eps
-    core_offsets, core_points = context.core_point_offsets, context.core_points
-    cursor = 0
-    for g in border.tolist():
-        start, size = int(offsets[g]), int(sizes[g])
-        cell_pts = pts[cursor : cursor + size]
-        cursor += size
-        row = int(rows[g])
-        assigned = np.zeros(size, dtype=bool)
-        for pred in context.predecessors[
-            pred_offsets[row] : pred_offsets[row + 1]
-        ].tolist():
-            core = core_points[core_offsets[pred] : core_offsets[pred + 1]]
-            if core.shape[0] == 0:
-                continue
-            pending = np.flatnonzero(~assigned)
-            reachable = (
-                seq_squared_distances(cell_pts[pending], core) <= eps2
-            ).any(axis=1)
-            if not reachable.any():
-                continue
-            hit = pending[reachable]
-            labels[start + hit] = context.cell_labels[pred]
-            assigned[hit] = True
-            if assigned.all():
-                break
+    for j0, j1, bounds, _, d2 in segmented_d2(
+        pts, pair_point, seg_start, core_offsets[pair_pred + 1] - seg_start,
+        context.core_points.T,
+    ):
+        segment_reduce(np.logical_or, d2 <= eps2, bounds, reached[j0:j1])
+    # A point joins its first predecessor in ascending row order with a
+    # core point within eps; every point owns at least one pair.
+    pair_starts = np.zeros(local.size, dtype=np.int64)
+    np.cumsum(point_pairs[:-1], out=pair_starts[1:])
+    first = np.minimum.reduceat(
+        np.where(reached, np.arange(reached.size), reached.size), pair_starts
+    )
+    found = first < reached.size
+    labels[local[found]] = context.cell_labels[pair_pred[first[found]]]
     return partition.global_indices, labels

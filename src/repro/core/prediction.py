@@ -48,8 +48,10 @@ no candidate at all; it is answered ``-1`` before its cell coordinates
 are cast to int64, which a far coordinate would overflow.
 
 Distance decisions are **bit-consistent with Phase II**: squared
-distances accumulate sequentially per dimension (the numpy backend's
-segmented reduce applies the exact accumulation order of
+distances accumulate sequentially per dimension (the numpy backend
+runs Phase II's segmented distance pass,
+:func:`~repro.core.region_query.segmented_d2`, which applies the exact
+accumulation order of
 :func:`~repro.spatial.distance.seq_squared_distances`; the
 ``python``/``numba`` backends run the equivalent scalar loop of
 :mod:`repro.kernels.predict` over the same CSR segments), so a query
@@ -69,27 +71,17 @@ import numpy as np
 
 from repro.core.cells import CellGeometry
 from repro.core.dictionary import FlatCellDictionary, csr_gather_indices
-from repro.core.region_query import PAIR_BUDGET, box_d2_bounds, center_boxes
+from repro.core.region_query import (
+    box_d2_bounds,
+    budget_runs,
+    center_boxes,
+    segment_reduce,
+    segmented_d2,
+)
 from repro.kernels import resolve_kernel
 from repro.spatial.cell_index import NeighborCellFinder
-from repro.spatial.distance import sum_of_squares
 
 __all__ = ["ClusterModel"]
-
-
-def _budget_steps(pair_ends: np.ndarray):
-    """``(begin, stop)`` runs of items holding at most ``PAIR_BUDGET``
-    pairs (the region-query sweep's bound, here on (query, candidate
-    cell) and (query, core point) pairs), where ``pair_ends[i]`` counts
-    the pairs of items ``0..i``; an item with more pairs than that is a
-    run alone."""
-    begin, n = 0, pair_ends.size
-    while begin < n:
-        base = int(pair_ends[begin - 1]) if begin else 0
-        stop = int(np.searchsorted(pair_ends, base + PAIR_BUDGET, "right"))
-        stop = max(stop, begin + 1)
-        yield begin, stop
-        begin = stop
 
 
 def _nearest_core_numpy(
@@ -101,30 +93,30 @@ def _nearest_core_numpy(
     ``seg_ptr[i]:seg_ptr[i + 1]``, the first in segment order on ties,
     else ``-1``.
 
-    Per-pair sequential squared distances, then a segmented first
-    minimum via ``reduceat``, one budgeted run of queries at a time.
-    Every query must own at least one core point."""
-    ends = np.zeros(seg_size.size + 1, dtype=np.int64)
-    np.cumsum(seg_size, out=ends[1:])
-    for begin, stop in _budget_steps(ends[seg_ptr[1:]]):
-        s0, s1 = int(seg_ptr[begin]), int(seg_ptr[stop])
-        core = csr_gather_indices(seg_start[s0:s1], seg_size[s0:s1])
-        bounds = ends[seg_ptr[begin : stop + 1]] - ends[s0]
-        sizes = np.diff(bounds)
-        owner = np.repeat(np.arange(begin, stop, dtype=np.int64), sizes)
-        d2 = sum_of_squares(
-            (pts[owner, k] - centers[core, k] for k in range(pts.shape[1])),
-            core.size,
+    The segmented distance pass gives each segment its first minimum
+    within ``eps``; a query then takes the first of its segments' minima
+    that equals the smallest.  Every query must own at least one
+    segment."""
+    n_segs = seg_size.size
+    best = np.full(n_segs, np.inf)
+    pick = np.zeros(n_segs, dtype=np.int64)
+    pair_point = np.repeat(np.arange(pts.shape[0], dtype=np.int64), np.diff(seg_ptr))
+    for j0, j1, bounds, rows, d2 in segmented_d2(
+        pts, pair_point, seg_start, seg_size, centers.T
+    ):
+        d2[d2 > eps2] = np.inf
+        segment_reduce(np.minimum, d2, bounds, best[j0:j1])
+        # First minimum in segment order: rows ascend within a segment.
+        first = np.where(
+            d2 == np.repeat(best[j0:j1], np.diff(bounds)), rows, np.iinfo(np.int64).max
         )
-        masked = np.where(d2 <= eps2, d2, np.inf)
-        best = np.minimum.reduceat(masked, bounds[:-1])
-        # First minimum in segment order: core rows ascend within a
-        # query, so the smallest selected row is the first one.
-        selected = np.where(
-            masked == np.repeat(best, sizes), core, np.iinfo(np.int64).max
-        )
-        first = np.minimum.reduceat(selected, bounds[:-1])
-        out[begin:stop] = np.where(np.isfinite(best), labels[first], -1)
+        segment_reduce(np.minimum, first, bounds, pick[j0:j1])
+    nearest = np.minimum.reduceat(best, seg_ptr[:-1])
+    seg = np.where(
+        best == np.repeat(nearest, np.diff(seg_ptr)), np.arange(n_segs), n_segs
+    )
+    first_seg = np.minimum.reduceat(seg, seg_ptr[:-1])
+    out[:] = np.where(np.isfinite(nearest), labels[pick[first_seg]], -1)
 
 
 class ClusterModel:
@@ -342,7 +334,9 @@ class ClusterModel:
         query = live[order[keep]]
         slot = cand_offsets[group[keep]]
         n_cand = n_cand[keep]
-        for begin, stop in _budget_steps(np.cumsum(n_cand)):
+        ends = np.zeros(n_cand.size + 1, dtype=np.int64)
+        np.cumsum(n_cand, out=ends[1:])
+        for begin, stop in budget_runs(ends):
             out[query[begin:stop]] = self._resolve(
                 pts[query[begin:stop]],
                 cand_rows,
@@ -367,7 +361,7 @@ class ClusterModel:
         # Query-major (query, candidate) pairs, in candidate order.
         pair_q = np.repeat(np.arange(pts.shape[0], dtype=np.int64), n_cand)
         pair_row = cand_rows[csr_gather_indices(slot, n_cand)]
-        min_d2, max_d2 = box_d2_bounds(pts, pair_q, *self._boxes, pair_row)
+        min_d2, max_d2 = box_d2_bounds(pts, n_cand, *self._boxes, pair_row)
         near = np.flatnonzero(min_d2 <= eps2)
         if near.size == 0:
             return labels

@@ -30,10 +30,11 @@ Queries are answered one partition at a time:
 :meth:`RegionQueryEngine.query_partition` takes a block of points
 grouped by cell and answers every group in one sweep — one batched
 candidate search over all the groups' cells, one vectorized box
-classification of every (point, candidate) pair, one gather of the
-sub-cells of the partially contained candidates, and one dense
-distance block per cell over them.  Its cost follows the distance
-work, not the number of cells.
+classification of every (point, candidate) pair, and one segmented
+distance pass (:func:`segmented_d2`) over exactly the (point, sub-cell)
+elements of the partially contained pairs.  Its cost follows the
+distance work, not the number of cells.  The same pass answers Phase
+III-2's border checks and predict's open queries.
 :meth:`~RegionQueryEngine.query_cell_batch` is the sweep's one-group
 case.
 
@@ -58,7 +59,8 @@ kernels below it).  All backends are bit-identical; see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,19 +71,122 @@ from repro.core.sharding import PartialFlatDictionary
 from repro.kernels import get_impl, resolve_kernel
 from repro.kernels import warmup as warmup_kernels
 from repro.spatial.cell_index import NeighborCellFinder
-from repro.spatial.distance import seq_squared_distances
 
 __all__ = [
     "CellBatchQueryResult",
     "PartitionQueryResult",
     "RegionQueryEngine",
     "box_d2_bounds",
+    "budget_runs",
     "center_boxes",
+    "segment_reduce",
+    "segmented_d2",
 ]
 
 #: Most (point, candidate) or (point, sub-cell) pairs one step of the
 #: sweep holds at once; bounds the sweep's pair arrays.
 PAIR_BUDGET = 1 << 16
+
+
+class _Scratch:
+    """Four pair-sized float64 buffers a sweep reuses from step to step.
+
+    They grow to the largest request and are handed out as prefix
+    views, so the per-pair temporaries of box classification and the
+    distance pass are mapped once per engine, not once per step (the
+    allocator would otherwise unmap and fault them in again).  The two
+    share them: a step's box bounds are spent before its distances
+    start.  The views are valid until the next request."""
+
+    def __init__(self) -> None:
+        self._buffer = np.empty((4, 0), dtype=np.float64)
+
+    def __call__(self, size: int) -> np.ndarray:
+        if self._buffer.shape[1] < size:
+            self._buffer = np.empty((4, size), dtype=np.float64)
+        return self._buffer[:, :size]
+
+
+def budget_runs(ends: np.ndarray):
+    """``(begin, stop)`` runs of items holding at most ``PAIR_BUDGET``
+    pairs, where items ``begin:stop`` own pairs ``ends[begin]:ends[stop]``
+    (``ends`` is ``(n + 1,)``, non-decreasing).  An item with more pairs
+    than that is a run alone; items after the last pair get no run.
+
+    The one chunker of the sweep, the distance pass and predict.  It
+    reads ``PAIR_BUDGET`` at call time."""
+    budget = PAIR_BUDGET
+    n = ends.size - 1
+    begin = 0
+    while begin < n and ends[begin] < ends[n]:
+        stop = int(np.searchsorted(ends, ends[begin] + budget, "right")) - 1
+        stop = min(n, max(stop, begin + 1))
+        yield begin, stop
+        begin = stop
+
+
+def segmented_d2(pts, pair_point, seg_start, seg_size, pool, scratch=None):
+    """Squared distances from each pair's query point to its pool segment.
+
+    Pair ``j`` measures ``pts[pair_point[j]]`` against the pool rows
+    ``seg_start[j]:seg_start[j] + seg_size[j]``; ``pool`` is axis-major,
+    one 1-D coordinate array per axis (``(d, M)``).  Yields ``(j0, j1,
+    bounds, rows, d2)`` per chunk of whole pairs ``j0:j1`` holding at
+    most ``PAIR_BUDGET`` (pair, pool row) elements — a longer segment is
+    a chunk alone: ``rows`` and ``d2`` are the chunk's flat pool rows and
+    squared distances, pair ``j``'s at ``bounds[j - j0]:bounds[j - j0 +
+    1]``.  An empty segment has no element; a chunk without any is not
+    yielded.  ``rows`` and ``d2`` are scratch the next chunk reuses (the
+    buffers of ``scratch`` when given, e.g. an engine's, else the
+    call's own).
+
+    Each distance accumulates ``diff_0^2 + diff_1^2 + ...`` one axis at
+    a time, as :func:`~repro.spatial.distance.seq_squared_distances`
+    does, so every within-``eps`` decision is bit-identical to it.
+    Every per-element value is one gather into scratch — the pair's
+    query coordinate by the element's pair, the pool coordinate by its
+    row — and the arithmetic runs in place.
+    """
+    if scratch is None:
+        scratch = _Scratch()
+    ends = np.zeros(seg_size.size + 1, dtype=np.int64)
+    np.cumsum(seg_size, out=ends[1:])
+    for j0, j1 in budget_runs(ends):
+        size = int(ends[j1] - ends[j0])
+        if size == 0:
+            continue
+        sizes = seg_size[j0:j1]
+        bounds = ends[j0 : j1 + 1] - ends[j0]
+        pair = np.repeat(np.arange(j1 - j0, dtype=np.int64), sizes)
+        coord, gathered, d2, row_bits = scratch(size)
+        rows = csr_gather_indices(
+            seg_start[j0:j1], sizes, out=row_bits.view(np.int64)
+        )
+        owner = pair_point[j0:j1]
+        for k, axis in enumerate(pool):
+            np.take(pts.T[k][owner], pair, out=coord, mode="clip")
+            np.take(axis, rows, out=gathered, mode="clip")
+            coord -= gathered
+            # 0 + t is t for a square, so the first axis starts the sum.
+            if k == 0:
+                np.multiply(coord, coord, out=d2)
+            else:
+                coord *= coord
+                d2 += coord
+        yield j0, j1, bounds, rows, d2
+
+
+def segment_reduce(ufunc, values, bounds, out) -> None:
+    """``out[j] = ufunc.reduce(values[bounds[j]:bounds[j + 1]])`` for
+    every non-empty segment ``j``; an empty one keeps ``out[j]``.
+
+    ``ufunc.reduceat`` alone would give an empty segment the next
+    element, not the reduction's identity."""
+    live = np.flatnonzero(bounds[1:] > bounds[:-1])
+    if live.size == out.size:
+        out[:] = ufunc.reduceat(values, bounds[:-1])
+    elif live.size:
+        out[live] = ufunc.reduceat(values, bounds[live])
 
 
 def center_boxes(
@@ -99,32 +204,53 @@ def center_boxes(
 
 def box_d2_bounds(
     pts: np.ndarray,
-    pair_pt: np.ndarray,
+    pair_counts: np.ndarray,
     box_lo: np.ndarray,
     box_hi: np.ndarray,
     pair_box: np.ndarray,
+    scratch: _Scratch | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(min_d2, max_d2)`` per (point, box) pair: the squared distances
-    from ``pts[pair_pt]`` to the nearest and the farthest point of box
+    from the pair's point to the nearest and the farthest point of box
     ``pair_box`` (columns of the axis-major ``box_lo``/``box_hi``).
+    Pairs are point-major: point ``i`` of ``pts`` owns the next
+    ``pair_counts[i]`` of them.
 
-    Summed one axis at a time, in the distance test's order, so no
-    temporary is ``(pairs, d)``.  Rounding is monotone, so the computed
+    Summed one axis at a time, in the distance test's order, into a
+    fixed few pair-sized arrays.  Rounding is monotone, so the computed
     squared distance of every point inside the box lies between the two
     bounds: ``min_d2 > eps2`` proves none of them is within ``eps`` and
-    ``max_d2 <= eps2`` proves all of them are.
+    ``max_d2 <= eps2`` proves all of them are.  Negation is exact, so
+    with ``a = x - lo`` and ``b = hi - x`` the gap is ``max(-a, -b, 0)``
+    and the far corner ``max(a, b)`` — each axis's terms to the bit.
+    With ``scratch`` (an engine's) the arrays, the returned two
+    included, are its buffers.
     """
-    min_d2 = np.zeros(pair_pt.size, dtype=np.float64)
-    max_d2 = np.zeros(pair_pt.size, dtype=np.float64)
+    if scratch is None:
+        scratch = _Scratch()
+    min_d2, max_d2, below, above = scratch(pair_box.size)
+    min_d2[:] = 0.0
+    max_d2[:] = 0.0
     for k in range(pts.shape[1]):
-        coord = pts[pair_pt, k]
-        diff_lo = box_lo[k][pair_box] - coord
-        diff_hi = coord - box_hi[k][pair_box]
-        gap = np.maximum(np.maximum(diff_lo, diff_hi), 0.0)
-        min_d2 += gap * gap
-        corner = np.maximum(np.abs(diff_lo), np.abs(diff_hi))
-        max_d2 += corner * corner
+        coord = np.repeat(pts[:, k], pair_counts)
+        np.take(box_lo[k], pair_box, out=below, mode="clip")
+        np.subtract(coord, below, out=below)
+        np.take(box_hi[k], pair_box, out=above, mode="clip")
+        np.subtract(above, coord, out=above)
+        # -gap: the shortfall past the nearer face, 0 inside the box.
+        np.minimum(below, above, out=coord)
+        np.minimum(coord, 0.0, out=coord)
+        coord *= coord
+        min_d2 += coord
+        np.maximum(below, above, out=below)
+        below *= below
+        max_d2 += below
     return min_d2, max_d2
+
+
+def _stage_seconds() -> dict[str, float]:
+    """A zeroed ledger of the sweep's stage wall seconds."""
+    return dict.fromkeys(("candidates", "classify", "distance"), 0.0)
 
 
 def _partial_slots(
@@ -186,12 +312,17 @@ class PartitionQueryResult:
         reaches the sweep's ``min_count`` has a neighbor sub-cell in the
         slot's cell.  With ``min_count = minPts`` this is Algorithm 3
         line 13's reachability from the group's core points.
+    seconds:
+        Wall seconds of the sweep's stages: ``candidates`` (candidate
+        search), ``classify`` (box classification) and ``distance``
+        (the partial pass, or the kernel call).
     """
 
     counts: np.ndarray
     cand_rows: np.ndarray
     cand_offsets: np.ndarray
     touched: np.ndarray
+    seconds: dict[str, float] = field(default_factory=dict)
 
 
 class RegionQueryEngine:
@@ -249,6 +380,7 @@ class RegionQueryEngine:
             strategy=strategy,
         )
         self.strategy = self._finder.strategy
+        self._scratch = _Scratch()
         # Per-row root densities and sub-cell block sizes.
         self._cell_counts = np.asarray(inner.cell_counts, dtype=np.float64)
         offsets = np.asarray(inner.offsets, dtype=np.int64)
@@ -264,11 +396,15 @@ class RegionQueryEngine:
                 np.asarray(inner.sub_counts, dtype=np.float64),
                 offsets,
             )
+            # The distance pass gathers one axis at a time: an
+            # axis-major copy keeps each gather contiguous.
+            self._center_axes = np.ascontiguousarray(centers.T)
             # Candidate boxes (axis-major): the bounds of each cell's
             # sub-cell centers.  Every cell owns at least one sub-cell.
             self._boxes = center_boxes(centers, offsets)
         else:
             self._csr_pool = None
+            self._center_axes = None
             # Grid boxes, built per sweep step from the resident cell
             # ids: no table beyond the root, outside the shard budget.
             self._boxes = None
@@ -348,7 +484,10 @@ class RegionQueryEngine:
             or np.any(np.diff(bounds) < 0)
         ):
             raise ValueError("point_offsets must be (G + 1,) CSR bounds over points")
+        seconds = _stage_seconds()
+        clock = time.perf_counter()
         cand_rows, cand_offsets = self._candidates(cells)
+        seconds["candidates"] = time.perf_counter() - clock
         if seeds is None:
             counts = np.zeros(pts.shape[0], dtype=np.float64)
         else:
@@ -357,11 +496,13 @@ class RegionQueryEngine:
                 raise ValueError("seeds must be (n,), one per point")
         touched = np.zeros(cand_rows.size, dtype=bool)
         for pair_point, pair_slot, touch in self._sweep(
-            pts, bounds, cand_rows, cand_offsets, counts
+            pts, bounds, cand_rows, cand_offsets, counts, seconds
         ):
             reach = touch & (counts[pair_point] >= min_count)
             touched[pair_slot[reach]] = True
-        return PartitionQueryResult(counts, cand_rows, cand_offsets, touched)
+        return PartitionQueryResult(
+            counts, cand_rows, cand_offsets, touched, seconds
+        )
 
     def _query_points(self, points: np.ndarray) -> np.ndarray:
         """``points`` as a C-contiguous float64 ``(n, d)`` block."""
@@ -377,33 +518,29 @@ class RegionQueryEngine:
             self._recorder.record_rows_consulted_batch(cand_rows, cand_offsets)
         return cand_rows, cand_offsets
 
-    def _sweep(self, pts, bounds, cand_rows, cand_offsets, counts):
+    def _sweep(self, pts, bounds, cand_rows, cand_offsets, counts, seconds):
         """Add every point's density into ``counts``, one step at a time.
 
         Yields each step's ``(pair_point, pair_slot, touch)``, one entry
         per (point, candidate) pair, point-major.  A step holds whole
         points and at most ``PAIR_BUDGET`` pairs (a point with more
         candidates than that is a step by itself), so a point's count is
-        final when its step is yielded.
+        final when its step is yielded.  Stage wall seconds add into
+        ``seconds``.
         """
-        n = pts.shape[0]
-        point_pair = np.zeros(n + 1, dtype=np.int64)
+        point_pair = np.zeros(pts.shape[0] + 1, dtype=np.int64)
         np.cumsum(
             np.repeat(np.diff(cand_offsets), np.diff(bounds)), out=point_pair[1:]
         )
-        begin = 0
-        while begin < n and point_pair[begin] < point_pair[n]:
-            stop = int(
-                np.searchsorted(point_pair, point_pair[begin] + PAIR_BUDGET, "right")
-            ) - 1
-            stop = min(n, max(stop, begin + 1))
+        for begin, stop in budget_runs(point_pair):
             yield self._sweep_step(
-                pts, bounds, cand_rows, cand_offsets, point_pair, begin, stop, counts
+                pts, bounds, cand_rows, cand_offsets, point_pair, begin, stop,
+                counts, seconds,
             )
-            begin = stop
 
     def _sweep_step(
-        self, pts, bounds, cand_rows, cand_offsets, point_pair, begin, stop, counts
+        self, pts, bounds, cand_rows, cand_offsets, point_pair, begin, stop,
+        counts, seconds,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Classify and answer the pairs of points ``begin:stop``.
 
@@ -424,14 +561,33 @@ class RegionQueryEngine:
             np.arange(n_pairs, dtype=np.int64) - step_pair[pair_pt]
         )
         step_pts = pts[begin:stop]
-        near, full = self._classify_pairs(step_pts, pair_pt, rows, pair_slot)
+        clock = time.perf_counter()
+        near, full = self._classify_pairs(step_pts, step_m, rows, pair_slot)
         slot_counts = self._cell_counts[rows]
         step_counts = counts[begin:stop]
         touch = np.zeros(n_pairs, dtype=bool)
+        partial = near & ~full
+        classified = time.perf_counter()
+        seconds["classify"] += classified - clock
+        seg_start, seg_size, centers, densities = self._slot_pool(
+            rows, pair_slot, partial
+        )
         if self._impl is not None:
-            self._step_kernel(
-                step_pts, step_pair, step_slot, step_m, pair_slot,
-                rows, near, full, slot_counts, step_counts, touch,
+            self._impl(
+                step_pts,
+                step_pair,
+                step_slot,
+                step_m,
+                near,
+                full,
+                slot_counts,
+                seg_start,
+                seg_size,
+                centers,
+                densities,
+                self.geometry.eps * self.geometry.eps,
+                step_counts,
+                touch,
             )
         else:
             # Fully-contained candidates (Example 5.5 case 1): every
@@ -445,40 +601,43 @@ class RegionQueryEngine:
             )
             touch[full_pairs] = True
             # Partially-contained candidates (case 2): test their
-            # sub-cell centers.
-            partial = near & ~full
-            if partial.any():
-                self._partial_dense(
-                    step_pts, step_pair, step_m, step_slot, pair_slot,
-                    partial, rows, step_counts, touch,
+            # sub-cell centers, one (pair, sub-cell) element each.
+            part = np.flatnonzero(partial)
+            if part.size:
+                slots = pair_slot[part]
+                self._partial_pass(
+                    step_pts, pair_pt[part], seg_start[slots], seg_size[slots],
+                    centers, densities, step_counts, part, touch,
                 )
+        seconds["distance"] += time.perf_counter() - classified
         return begin + pair_pt, slot_base + pair_slot, touch
 
     def _classify_pairs(
         self,
         pts: np.ndarray,
-        pair_pt: np.ndarray,
+        pair_counts: np.ndarray,
         rows: np.ndarray,
         pair_row: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(near, full)`` per (point, candidate) pair: is the point's
         minimum / maximum distance to the box of candidate
-        ``rows[pair_row]`` within ``eps``?  Shared by every backend, and
-        exact (:func:`box_d2_bounds`)."""
+        ``rows[pair_row]`` within ``eps``?  Point ``i`` owns the next
+        ``pair_counts[i]`` pairs.  Shared by every backend, and exact
+        (:func:`box_d2_bounds`)."""
         eps2 = self.geometry.eps * self.geometry.eps
+        if self._boxes is not None:
+            # Each pair reads its candidate's column of the engine table.
+            lo, hi = self._boxes
+            pair_box = rows[pair_row]
+        else:
+            side = self.geometry.side
+            lo = self._finder.cell_ids[rows].T.astype(np.float64) * side
+            hi = lo + side
+            pair_box = pair_row
         min_d2, max_d2 = box_d2_bounds(
-            pts, pair_pt, *self._candidate_boxes(rows), pair_row
+            pts, pair_counts, lo, hi, pair_box, self._scratch
         )
         return min_d2 <= eps2, max_d2 <= eps2
-
-    def _candidate_boxes(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(lo, hi)``, each ``(d, len(rows))``: the boxes of ``rows``."""
-        if self._boxes is not None:
-            lo, hi = self._boxes
-            return lo[:, rows], hi[:, rows]
-        side = self.geometry.side
-        lo = self._finder.cell_ids[rows].T.astype(np.float64) * side
-        return lo, lo + side
 
     def _subcell_pool(
         self, rows: np.ndarray
@@ -498,100 +657,58 @@ class RegionQueryEngine:
         np.cumsum(sizes[:-1], out=starts[1:])
         return centers, densities, starts[inverse.reshape(-1)]
 
-    def _partial_dense(
-        self, step_pts, step_pair, step_m, step_slot, pair_slot, partial,
-        slot_rows, step_counts, step_touch,
-    ) -> None:
-        """The vectorized reference backend (``kernel="numpy"``) for the
-        partially contained pairs of one step: one pool gather for the
-        step, then one dense ``(points, sub-cells)`` block per cell."""
-        eps2 = self.geometry.eps * self.geometry.eps
-        part_slots = _partial_slots(pair_slot, partial, slot_rows.size)
-        rows = slot_rows[part_slots]
-        sizes = self._sub_sizes[rows]
-        centers, densities, starts = self._subcell_pool(rows)
-        sub = csr_gather_indices(starts, sizes)
-        block_centers = centers[sub]
-        block_densities = densities[sub]
-        block_slot = np.repeat(part_slots, sizes)
-        ends = np.zeros(sizes.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=ends[1:])
-        # Runs of points sharing a cell (a cell may straddle two steps);
-        # a cell without candidates shares its first slot with the next
-        # cell, so a run also ends where the candidate count changes.
-        n = step_slot.size
-        change = np.flatnonzero(
-            (step_slot[1:] != step_slot[:-1]) | (step_m[1:] != step_m[:-1])
-        ) + 1
-        run_lo = np.concatenate(([0], change))
-        run_hi = np.concatenate((change, [n]))
-        run_slot = step_slot[run_lo]
-        first = np.searchsorted(part_slots, run_slot)
-        last = np.searchsorted(part_slots, run_slot + step_m[run_lo])
-        for lo, hi, a, b, s0 in zip(
-            run_lo.tolist(), run_hi.tolist(), first.tolist(), last.tolist(),
-            run_slot.tolist(),
-        ):
-            if a == b:
-                continue
-            m = int(step_m[lo])
-            c0, c1 = int(ends[a]), int(ends[b])
-            cols = part_slots[a:b] - s0
-            sub_cols = block_slot[c0:c1] - s0
-            seg_starts = ends[a:b] - c0
-            # Rows per dense block, so a block holds at most PAIR_BUDGET
-            # (point, sub-cell) pairs.
-            rows_per_block = max(1, PAIR_BUDGET // (c1 - c0))
-            for r0 in range(lo, hi, rows_per_block):
-                r1 = min(hi, r0 + rows_per_block)
-                q0 = int(step_pair[r0])
-                q1 = q0 + (r1 - r0) * m
-                within = (
-                    seq_squared_distances(step_pts[r0:r1], block_centers[c0:c1])
-                    <= eps2
-                )
-                within &= partial[q0:q1].reshape(r1 - r0, m)[:, sub_cols]
-                step_counts[r0:r1] += within @ block_densities[c0:c1]
-                hits = np.logical_or.reduceat(within, seg_starts, axis=1)
-                step_touch[q0:q1].reshape(r1 - r0, m)[:, cols] |= hits
-
-    def _step_kernel(
-        self, step_pts, step_pair, step_slot, step_m, pair_slot,
-        slot_rows, near, full, slot_counts, step_counts, step_touch,
-    ) -> None:
-        """The compiled backend (``kernel="numba"``; ``"python"`` runs
-        the same source uncompiled).  Bit-identical to the numpy path:
-        the within decision shares the sequential per-dimension
-        accumulation and density sums are exact integer arithmetic in
-        float64 (see :mod:`repro.kernels.phase2`)."""
+    def _slot_pool(self, slot_rows, pair_slot, partial):
+        """``(seg_start, seg_size, centers, densities)``: the sub-cell
+        pool of one step and, per step slot, its candidate's segment in
+        it — set for the slots some partial pair reads, empty elsewhere.
+        Every backend's distance work reads this one prep."""
         n_slots = slot_rows.size
         seg_start = np.zeros(n_slots, dtype=np.int64)
         seg_size = np.zeros(n_slots, dtype=np.int64)
-        partial_slots = _partial_slots(pair_slot, near & ~full, n_slots)
-        if partial_slots.size:
-            rows = slot_rows[partial_slots]
-            centers, densities, starts = self._subcell_pool(rows)
-            seg_start[partial_slots] = starts
-            seg_size[partial_slots] = self._sub_sizes[rows]
-        else:
-            centers = np.empty((0, self.geometry.dim), dtype=np.float64)
-            densities = np.empty(0, dtype=np.float64)
-        self._impl(
-            step_pts,
-            step_pair,
-            step_slot,
-            step_m,
-            near,
-            full,
-            slot_counts,
-            seg_start,
-            seg_size,
-            centers,
-            densities,
-            self.geometry.eps * self.geometry.eps,
-            step_counts,
-            step_touch,
+        slots = _partial_slots(pair_slot, partial, n_slots)
+        if slots.size == 0:
+            return (
+                seg_start,
+                seg_size,
+                np.empty((0, self.geometry.dim), dtype=np.float64),
+                np.empty(0, dtype=np.float64),
+            )
+        rows = slot_rows[slots]
+        centers, densities, starts = self._subcell_pool(rows)
+        seg_start[slots] = starts
+        seg_size[slots] = self._sub_sizes[rows]
+        return seg_start, seg_size, centers, densities
+
+    def _partial_pass(
+        self, step_pts, pair_pt, seg_start, seg_size, centers, densities,
+        step_counts, pairs, step_touch,
+    ) -> None:
+        """The vectorized reference backend (``kernel="numpy"``) for the
+        partially contained pairs of one step (step pairs ``pairs``;
+        pair ``j`` is point ``pair_pt[j]`` against its candidate's pool
+        segment): a point's count gains the densities of the sub-cells
+        within ``eps``, and a pair touches when any of them is — the
+        :mod:`repro.kernels.phase2` loop, vectorized over pairs."""
+        eps2 = self.geometry.eps * self.geometry.eps
+        axes = (
+            self._center_axes
+            if self._center_axes is not None
+            else np.ascontiguousarray(centers.T)
         )
+        sums = np.zeros(pairs.size, dtype=np.float64)
+        hits = np.zeros(pairs.size, dtype=bool)
+        for j0, j1, bounds, rows, d2 in segmented_d2(
+            step_pts, pair_pt, seg_start, seg_size, axes, self._scratch
+        ):
+            within = d2 <= eps2
+            # The chunk's distances are spent: their scratch takes the
+            # densities of the rows within eps.
+            np.take(densities, rows, out=d2, mode="clip")
+            d2 *= within
+            segment_reduce(np.add, d2, bounds, sums[j0:j1])
+            segment_reduce(np.logical_or, within, bounds, hits[j0:j1])
+        step_counts += np.bincount(pair_pt, weights=sums, minlength=step_counts.size)
+        step_touch[pairs] = hits
 
     # ------------------------------------------------------------------
     # One-cell and single-point queries (tests, exploration)
@@ -613,7 +730,8 @@ class RegionQueryEngine:
         steps = [
             touch
             for _, _, touch in self._sweep(
-                pts, np.array([0, n], dtype=np.int64), rows, offsets, counts
+                pts, np.array([0, n], dtype=np.int64), rows, offsets, counts,
+                _stage_seconds(),
             )
         ]
         touch = np.concatenate(steps) if steps else np.zeros(0, dtype=bool)

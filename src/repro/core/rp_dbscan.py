@@ -132,6 +132,20 @@ def _phase2_warmup(broadcast) -> None:
     context.engine.warmup_kernel()
 
 
+def _stage_ledger(results: list[SubgraphResult]) -> list[dict]:
+    """Per Phase II stage, in sweep order, the fit's total and
+    slowest-task wall seconds: ``{"stage", "sum_s", "max_s"}``."""
+    ledger: dict[str, dict] = {}
+    for result in results:
+        for stage, seconds in result.stage_seconds.items():
+            notes = ledger.setdefault(
+                stage, {"stage": stage, "sum_s": 0.0, "max_s": 0.0}
+            )
+            notes["sum_s"] += seconds
+            notes["max_s"] = max(notes["max_s"], seconds)
+    return list(ledger.values())
+
+
 def _phase3_worker(partition: Partition, context: LabelingContext):
     return label_partition(partition, context)
 
@@ -617,6 +631,13 @@ class RPDBSCAN:
             item_counter=lambda t: t[0].num_points,
             warmup=_phase2_warmup,
         )
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            # The stage split rides on the phase span: one annotation
+            # per fit, no span per task or step.
+            tracer.find(kind="phase", name=PHASE_CELL_GRAPH)[-1].annotations[
+                "stages"
+            ] = _stage_ledger(subgraph_results)
         broadcast_residency = None
         if sharded is not None:
             # Gather the residency ledgers while the pool (if any) still

@@ -17,7 +17,8 @@ per-candidate segments.  One shape serves every dictionary: on a
 monolithic one (and its defragmented wrapper) the pool *is* the
 dictionary's ``sub_centers``/``sub_counts`` and a segment is a CSR
 slice, so no block is ever copied; a sharded dictionary gathers the
-step's blocks into a pool first.
+step's blocks into a pool first.  The numpy backend reads the same
+per-slot segments (``RegionQueryEngine._slot_pool``).
 
 Bit-identity contract (pinned by ``tests/kernels/``)
 ----------------------------------------------------
@@ -28,17 +29,18 @@ The kernel must reproduce the numpy backend's outputs *exactly*:
   ``acc = ((0 + diff_0^2) + diff_1^2) + ...`` with no fused
   multiply-add.  The numpy backend computes the same sequence with one
   elementwise operation per dimension
-  (:func:`repro.spatial.distance.seq_squared_distances`, over one dense
-  block per cell); since IEEE 754 elementwise operations are exactly
-  rounded, the scalar loop here and the vectorized loop there agree to
-  the bit.  (The BLAS
+  (:func:`repro.core.region_query.segmented_d2`, over the flat
+  (point, sub-cell) elements of the partially contained pairs, in
+  :func:`repro.spatial.distance.seq_squared_distances`' order); since
+  IEEE 754 elementwise operations are exactly rounded, the scalar loop
+  here and the vectorized loop there agree to the bit.  (The BLAS
   expansion ``|a|^2 + |b|^2 - 2ab`` does *not* have this property — its
   dot products reorder and may fuse — which is why the hot path does
   not use it.)
 * Density accumulation adds integer-valued float64 terms (cell and
   sub-cell counts).  Integer sums below 2**53 are exact in float64
   regardless of association, so the interleaved per-point order here is
-  bit-identical to the numpy backend's ``bincount`` and matmul sums.
+  bit-identical to the numpy backend's ``bincount`` and segmented sums.
 * ``prange`` parallelism is over query points only; each point's
   accumulation is sequential and writes disjoint output elements, so
   results do not depend on thread count or schedule.

@@ -18,6 +18,9 @@ report the paper's efficiency analysis wants at a glance:
 * **node broadcast ledger** — remote runs only: one row per node per
   broadcast epoch, showing the substrate shipped each value exactly
   once per node;
+* **Phase II stages** — candidate search, box classification, partial
+  distances and subgraph assembly: total and slowest-task seconds, and
+  each total's share of the Phase II task time;
 * **merge-round ledger** — one row per Phase III-1 tournament round:
   matches, edges in and out, edges resolved and removed, round wall;
 * **ingest ledger** — one row per incremental refit
@@ -54,6 +57,7 @@ __all__ = [
     "node_ledger_rows",
     "fault_ledger_rows",
     "merge_ledger_rows",
+    "phase2_stage_rows",
     "ingest_ledger_rows",
     "serving_ledger_rows",
     "snapshot_quantile",
@@ -257,6 +261,38 @@ def node_ledger_rows(spans: list[Span]) -> list[list]:
         )
     rows.sort(key=lambda row: (row[1] or 0, str(row[0])))
     return rows
+
+
+def phase2_stage_rows(spans: list[Span]) -> list[list]:
+    """One row per Phase II stage, summed over the trace's fits.
+
+    Rendered from the ``stages`` list the fit puts on its ``II cell
+    graph`` phase span (``{"stage", "sum_s", "max_s"}`` per stage): the
+    stage's total seconds, its share of the phase's task seconds, and
+    its slowest task.  The stages need not cover a task: the sweep's
+    pair indexing and touch folding fall between them.
+    """
+    totals: dict[str, list[float]] = {}
+    phases = set()
+    for span in spans:
+        if span.kind != "phase" or "stages" not in span.annotations:
+            continue
+        phases.add(span.phase or span.name)
+        for notes in span.annotations["stages"]:
+            total = totals.setdefault(notes["stage"], [0.0, 0.0])
+            total[0] += float(notes["sum_s"])
+            total[1] = max(total[1], float(notes["max_s"]))
+    by_phase = phase_task_durations(spans)
+    task_s = sum(sum(by_phase.get(phase, ())) for phase in phases) or 1.0
+    return [
+        [
+            stage,
+            format_duration(total),
+            f"{total / task_s:.1%}",
+            format_duration(slowest),
+        ]
+        for stage, (total, slowest) in totals.items()
+    ]
 
 
 def merge_ledger_rows(spans: list[Span]) -> list[list]:
@@ -541,6 +577,16 @@ def render_run_report(spans: list[Span], *, title: str = "run report") -> str:
                     f"vs {format_duration(elapsed)} elapsed "
                     f"({format_duration(max(slack, 0.0))} schedulable slack)"
                 ),
+            )
+        )
+
+    rows = phase2_stage_rows(spans)
+    if rows:
+        sections.append(
+            format_table(
+                ["stage", "total", "of task time", "slowest task"],
+                rows,
+                title="Phase II stages (summed over tasks)",
             )
         )
 

@@ -7,7 +7,9 @@ exactly on candidate rows, neighbor counts, per-point touch masks (the
 one-cell case) and touched slots folded at a count threshold, seeded
 or not, for every strategy and backend, including query points outside
 their group's cell, groups without points, single-point cells and empty
-sweeps.  The tight candidate boxes are pinned at the eps boundary.
+sweeps.  The tight candidate boxes are pinned at the eps boundary, and the
+segmented distance pass every backend's numpy path shares is checked
+against a scalar loop.
 """
 
 import numpy as np
@@ -21,7 +23,13 @@ from repro.core.cells import CellGeometry
 from repro.core.construction import QueryContext, build_cell_subgraph
 from repro.core.dictionary import FlatCellDictionary
 from repro.core.partitioning import Partition
-from repro.core.region_query import RegionQueryEngine
+from repro.core.region_query import (
+    RegionQueryEngine,
+    box_d2_bounds,
+    center_boxes,
+    segment_reduce,
+    segmented_d2,
+)
 from repro.spatial.distance import seq_squared_distances
 
 SETTINGS = settings(
@@ -279,12 +287,16 @@ class TestTightBoxes:
         assert result.touched.tolist() == [True, False]
 
     def test_one_subcell_candidate_is_never_partial(self):
-        _, _, engine = self._setup("numpy")
+        _, dictionary, _ = self._setup("numpy")
         queries = self._queries()
-        rows = np.zeros(1, dtype=np.int64)
-        near, full = engine._classify_pairs(
-            queries, np.arange(2), rows, np.zeros(2, dtype=np.int64)
+        # Each query owns one pair, against the lone cell's box.
+        min_d2, max_d2 = box_d2_bounds(
+            queries,
+            np.ones(2, dtype=np.int64),
+            *center_boxes(dictionary.sub_centers, dictionary.offsets),
+            np.zeros(2, dtype=np.int64),
         )
+        near, full = min_d2 <= self.EPS**2, max_d2 <= self.EPS**2
         assert near.tolist() == [True, False]
         np.testing.assert_array_equal(near, full)
 
@@ -355,3 +367,126 @@ class TestSweepEdges:
             (0, 1),
             (1, 0),
         ]
+
+
+@st.composite
+def pass_cases(draw):
+    """Query points and a pool on a coarse lattice (exact-eps ties), and
+    pairs whose segments may be empty or longer than the budget."""
+    dim = draw(st.sampled_from([1, 2, 3, 13]))
+    lattice = st.integers(-4, 4).map(lambda v: v * 0.5)
+    point = st.lists(lattice, min_size=dim, max_size=dim)
+    pts = np.array(draw(st.lists(point, min_size=1, max_size=6)))
+    m = draw(st.integers(1, 30))
+    pool = np.array(draw(st.lists(point, min_size=m, max_size=m)))
+    n_pairs = draw(st.integers(0, 12))
+    pair_point = np.array(
+        draw(
+            st.lists(
+                st.integers(0, len(pts) - 1), min_size=n_pairs, max_size=n_pairs
+            )
+        ),
+        dtype=np.int64,
+    )
+    seg_start = np.array(
+        draw(st.lists(st.integers(0, m), min_size=n_pairs, max_size=n_pairs)),
+        dtype=np.int64,
+    )
+    seg_size = np.array(
+        [draw(st.integers(0, m - int(lo))) for lo in seg_start], dtype=np.int64
+    )
+    budget = draw(st.sampled_from([1, 5, region_query.PAIR_BUDGET]))
+    eps = draw(st.sampled_from([0.5, 1.0, 1.5]))
+    return pts, pool, pair_point, seg_start, seg_size, budget, eps
+
+
+def scalar_pairs(pts, pool, pair_point, seg_start, seg_size, eps):
+    """Per pair: its squared distances (a plain scalar loop, axis by
+    axis), the density sum of its rows within eps and whether any is."""
+    eps2 = eps * eps
+    d2s, sums, hits = [], [], []
+    for j in range(pair_point.size):
+        point = pts[pair_point[j]]
+        row_d2 = []
+        for r in range(seg_start[j], seg_start[j] + seg_size[j]):
+            acc = 0.0
+            for k in range(pts.shape[1]):
+                diff = float(point[k]) - float(pool[r, k])
+                acc += diff * diff
+            row_d2.append(acc)
+        d2s.append(row_d2)
+        within = [v <= eps2 for v in row_d2]
+        sums.append(float(sum(r + 1 for r, w in zip(
+            range(seg_start[j], seg_start[j] + seg_size[j]), within) if w)))
+        hits.append(any(within))
+    return d2s, np.array(sums), np.array(hits, dtype=bool)
+
+
+class TestSegmentedPass:
+    @SETTINGS
+    @given(case=pass_cases())
+    def test_matches_scalar_loop(self, case):
+        pts, pool, pair_point, seg_start, seg_size, budget, eps = case
+        densities = np.arange(1, pool.shape[0] + 1, dtype=np.float64)
+        want_d2, want_sums, want_hits = scalar_pairs(
+            pts, pool, pair_point, seg_start, seg_size, eps
+        )
+        sums = np.zeros(pair_point.size)
+        hits = np.zeros(pair_point.size, dtype=bool)
+        chunked = np.zeros(pair_point.size, dtype=bool)
+
+        def run():
+            # Each chunk is checked before the next reuses its scratch.
+            for j0, j1, bounds, rows, d2 in segmented_d2(
+                pts, pair_point, seg_start, seg_size, np.ascontiguousarray(pool.T)
+            ):
+                assert j1 > j0 and not chunked[j0:].any()
+                chunked[j0:j1] = True
+                # Whole segments; more than the budget only for a lone pair.
+                assert d2.size <= budget or j1 - j0 == 1
+                assert bounds.tolist() == [0, *np.cumsum(seg_size[j0:j1]).tolist()]
+                for j in range(j0, j1):
+                    lo, hi = bounds[j - j0], bounds[j - j0 + 1]
+                    assert rows[lo:hi].tolist() == list(
+                        range(seg_start[j], seg_start[j] + seg_size[j])
+                    )
+                    # Bit-identical to the scalar accumulation.
+                    assert d2[lo:hi].tolist() == want_d2[j]
+                within = d2 <= eps * eps
+                segment_reduce(np.add, densities[rows] * within, bounds, sums[j0:j1])
+                segment_reduce(np.logical_or, within, bounds, hits[j0:j1])
+
+        _with_budget(budget, run)
+        # Pairs no chunk holds own no element at all.
+        assert not seg_size[~chunked].any()
+        # Empty segments reduce to 0 / False, not to a neighbor's value.
+        np.testing.assert_array_equal(sums, want_sums)
+        np.testing.assert_array_equal(hits, want_hits)
+
+    def test_segment_longer_than_budget_is_a_chunk_alone(self):
+        pts = np.zeros((2, 2))
+        pool = np.arange(24, dtype=np.float64).reshape(12, 2)
+        seg_start = np.array([0, 2, 2, 11], dtype=np.int64)
+        seg_size = np.array([2, 9, 0, 1], dtype=np.int64)
+        chunks = _with_budget(
+            5,
+            lambda: [
+                (j0, j1, d2.size)
+                for j0, j1, _, _, d2 in segmented_d2(
+                    pts, np.array([0, 1, 1, 0]), seg_start, seg_size,
+                    np.ascontiguousarray(pool.T),
+                )
+            ],
+        )
+        # The 9-row segment is alone; the empty one rides with the last.
+        assert chunks == [(0, 1, 2), (1, 2, 9), (2, 4, 1)]
+
+    def test_empty_segments_reduce_to_identity(self):
+        values = np.array([3.0, 4.0, 5.0])
+        bounds = np.array([0, 0, 2, 2, 3, 3])
+        sums = np.zeros(5)
+        segment_reduce(np.add, values, bounds, sums)
+        assert sums.tolist() == [0.0, 7.0, 0.0, 5.0, 0.0]
+        hits = np.zeros(5, dtype=bool)
+        segment_reduce(np.logical_or, values > 4.5, bounds, hits)
+        assert hits.tolist() == [False, False, False, True, False]

@@ -211,6 +211,28 @@ class TestFitTraceWellFormed:
             "III-2 labeling",
         }
 
+    def test_phase2_span_carries_stage_seconds(self, two_blobs):
+        tracer = Tracer()
+        engine = Engine("serial", tracer=tracer)
+        RPDBSCAN(
+            eps=0.3, min_pts=10, num_partitions=4, seed=0, engine=engine
+        ).fit(two_blobs)
+        (phase,) = tracer.find(kind="phase", name="II cell graph")
+        stages = phase.annotations["stages"]
+        assert [n["stage"] for n in stages] == [
+            "candidates", "classify", "distance", "assembly"
+        ]
+        for notes in stages:
+            assert 0.0 <= notes["max_s"] <= notes["sum_s"]
+        # The stages are parts of the tasks, never more than them.
+        attempts = [
+            s for s in tracer.find(kind="attempt") if s.phase == "II cell graph"
+        ]
+        assert len(attempts) == 4
+        assert sum(n["sum_s"] for n in stages) <= sum(
+            s.duration_s for s in attempts
+        )
+
     def test_empty_fit_trace(self):
         tracer = Tracer()
         engine = Engine("serial", tracer=tracer)

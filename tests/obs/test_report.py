@@ -2,6 +2,7 @@
 
 from repro.obs.report import (
     fault_ledger_rows,
+    phase2_stage_rows,
     phase_task_durations,
     render_run_report,
     worker_busy_seconds,
@@ -118,3 +119,28 @@ class TestRenderRunReport:
             if line.startswith("I-1 partitioning")
         )
         assert "N/A" in driver_row
+
+
+class TestPhase2Stages:
+    def _trace(self):
+        spans = _sample_trace()
+        spans[2].annotations["stages"] = [
+            {"stage": "candidates", "sum_s": 0.9, "max_s": 0.5},
+            {"stage": "classify", "sum_s": 1.8, "max_s": 1.2},
+            {"stage": "distance", "sum_s": 4.5, "max_s": 4.0},
+            {"stage": "assembly", "sum_s": 0.45, "max_s": 0.3},
+        ]
+        return spans
+
+    def test_rows_share_the_phase_task_time(self):
+        # The winning attempts of the sample's Phase II computed 1 s + 8 s.
+        assert phase2_stage_rows(self._trace()) == [
+            ["candidates", "900.0ms", "10.0%", "500.0ms"],
+            ["classify", "1.80s", "20.0%", "1.20s"],
+            ["distance", "4.50s", "50.0%", "4.00s"],
+            ["assembly", "450.0ms", "5.0%", "300.0ms"],
+        ]
+
+    def test_table_rendered_only_with_stages(self):
+        assert "Phase II stages" in render_run_report(self._trace())
+        assert "Phase II stages" not in render_run_report(_sample_trace())
