@@ -5,10 +5,11 @@ Two claims, gated with the headroom the other plane benches use
 (regressions, not timer jitter):
 
 * **columnar matches** — the tournament over the pipeline's
-  ``FlatCellGraph`` subgraphs (vectorized absorb/detect, array
-  union-find) must beat the same tournament over the dict-of-tuples
-  reference ``CellGraph`` (the same subgraphs converted with
-  ``to_cell_graph``) by at least :data:`FLAT_SPEEDUP_MIN` on wall time,
+  ``FlatCellGraph`` subgraphs (vectorized absorb/detect, a root-array
+  forest reduced by one Borůvka pass per match) must beat the same
+  tournament over the dict-of-tuples reference ``CellGraph`` (the same
+  subgraphs converted with ``to_cell_graph``) by at least
+  :data:`FLAT_SPEEDUP_MIN` on wall time,
   while producing bit-identical per-round accounting;
 * **parallel rounds** — the modeled critical path (sum of per-round
   slowest matches: what a pool with one core per match of a round would

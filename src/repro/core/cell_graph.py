@@ -32,7 +32,8 @@ from enum import IntEnum
 import numpy as np
 
 from repro.core.cells import CellId
-from repro.graph.union_find import ArrayUnionFind, UnionFind
+from repro.graph.spanning_forest import spanning_forest_arrays
+from repro.graph.union_find import UnionFind, join_roots, link_roots
 
 __all__ = [
     "EdgeType",
@@ -398,8 +399,16 @@ class FlatCellGraph:
     edges are a parallel ``(src:int32, dst:int32, type:int8)`` edge
     list.  Merging is an elementwise status maximum
     plus an array concatenation; edge-type detection is a vectorized
-    gather of destination statuses; the Sec 6.1.4 spanning-forest
-    reduction runs over an :class:`~repro.graph.union_find.ArrayUnionFind`.
+    gather of destination statuses.  The Sec 6.1.4 spanning forest is a
+    root array (each slot's component minimum, see
+    :func:`~repro.graph.union_find.link_roots`), and the full edges not
+    yet tested against it are an ordered array of edge positions; the
+    reduction is one Borůvka pass over them
+    (:func:`~repro.graph.spanning_forest.spanning_forest_arrays`) that
+    keeps the edges a union-find visiting them in that order would.  A
+    graph fresh from :meth:`from_arrays` stores neither: its forest is
+    the identity and its pending edges are its FULL edges in ascending
+    order, so a Phase II subgraph ships only its four columns.
 
     :class:`CellGraph` is the reference: for equal inputs both produce
     identical vertex classes, edge multisets, resolved/removed counts,
@@ -411,17 +420,17 @@ class FlatCellGraph:
     stale resolvable edge.
     """
 
-    __slots__ = ("status", "src", "dst", "etype", "_pending", "_forest")
+    __slots__ = ("status", "src", "dst", "etype", "_pending", "_roots")
 
     def __init__(self, n_slots: int = 0) -> None:
         self.status = np.zeros(int(n_slots), dtype=np.int8)
         self.src = np.empty(0, dtype=np.int32)
         self.dst = np.empty(0, dtype=np.int32)
         self.etype = np.empty(0, dtype=np.int8)
-        # Indices (into src/dst/etype) of FULL edges not yet tested
-        # against the spanning forest.
-        self._pending: list[int] = []
-        self._forest = ArrayUnionFind(int(n_slots))
+        # None while derivable (see pending / roots); arrays are never
+        # written in place, only replaced.
+        self._pending: np.ndarray | None = None
+        self._roots: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -477,6 +486,21 @@ class FlatCellGraph:
         """``"core"``, ``"noncore"``, ``"undetermined"``, or ``"absent"``."""
         return _STATUS_NAMES[int(self.status[cell])]
 
+    @property
+    def pending(self) -> np.ndarray:
+        """Positions of the FULL edges not yet tested against the forest,
+        in test order (derived while unset: every FULL edge, ascending)."""
+        if self._pending is None:
+            return np.flatnonzero(self.etype == int(EdgeType.FULL))
+        return self._pending
+
+    @property
+    def roots(self) -> np.ndarray:
+        """The spanning forest: each slot's component minimum."""
+        if self._roots is None:
+            return np.arange(self.n_slots)
+        return self._roots
+
     def _edge_keys(self) -> np.ndarray:
         """Edges as scalar int64 keys ``src * n_slots + dst``."""
         n = max(self.n_slots, 1)
@@ -509,19 +533,20 @@ class FlatCellGraph:
         for tests and small graphs; the pipeline builds edge arrays in
         bulk (:meth:`from_arrays`).
         """
+        pending = self.pending
         hit = np.nonzero((self.src == src) & (self.dst == dst))[0]
         if hit.size:
             pos = int(hit[0])
-            if self.etype[pos] == int(EdgeType.UNDETERMINED):
-                self.etype[pos] = int(edge_type)
-                if edge_type is EdgeType.FULL:
-                    self._pending.append(pos)
-            return
-        self.src = np.append(self.src, np.int32(src))
-        self.dst = np.append(self.dst, np.int32(dst))
-        self.etype = np.append(self.etype, np.int8(int(edge_type)))
+            if self.etype[pos] != int(EdgeType.UNDETERMINED):
+                return
+            self.etype[pos] = int(edge_type)
+        else:
+            pos = self.src.size
+            self.src = np.append(self.src, np.int32(src))
+            self.dst = np.append(self.dst, np.int32(dst))
+            self.etype = np.append(self.etype, np.int8(int(edge_type)))
         if edge_type is EdgeType.FULL:
-            self._pending.append(self.src.size - 1)
+            self._pending = np.append(pending, pos)
 
     @classmethod
     def from_arrays(
@@ -533,16 +558,16 @@ class FlatCellGraph:
     ) -> "FlatCellGraph":
         """Bulk constructor from prebuilt columns (arrays are adopted).
 
-        Every FULL edge is pending (nothing forest-tested yet) against a
-        fresh forest over the universe.
+        Every FULL edge is pending (nothing forest-tested yet) against
+        the identity forest; both are derived, not stored.
         """
         graph = cls.__new__(cls)
         graph.status = np.ascontiguousarray(status, dtype=np.int8)
         graph.src = np.ascontiguousarray(src, dtype=np.int32)
         graph.dst = np.ascontiguousarray(dst, dtype=np.int32)
         graph.etype = np.ascontiguousarray(etype, dtype=np.int8)
-        graph._pending = np.nonzero(graph.etype == int(EdgeType.FULL))[0].tolist()
-        graph._forest = ArrayUnionFind(graph.status.size)
+        graph._pending = None
+        graph._roots = None
         return graph
 
     # ------------------------------------------------------------------
@@ -550,14 +575,15 @@ class FlatCellGraph:
     # ------------------------------------------------------------------
 
     def copy(self) -> "FlatCellGraph":
-        """Independent copy (arrays duplicated)."""
+        """Independent copy (columns duplicated; the pending and forest
+        arrays are shared, as they are replaced, never written)."""
         clone = FlatCellGraph.__new__(FlatCellGraph)
         clone.status = self.status.copy()
         clone.src = self.src.copy()
         clone.dst = self.dst.copy()
         clone.etype = self.etype.copy()
-        clone._pending = list(self._pending)
-        clone._forest = self._forest.copy()
+        clone._pending = self._pending
+        clone._roots = self._roots
         return clone
 
     def absorb(self, other: "FlatCellGraph") -> "FlatCellGraph":
@@ -585,11 +611,16 @@ class FlatCellGraph:
                 )
         np.maximum(self.status, other.status, out=self.status)
         base = self.src.size
+        self._pending = np.concatenate([self.pending, other.pending + base])
         self.src = np.concatenate([self.src, other.src])
         self.dst = np.concatenate([self.dst, other.dst])
         self.etype = np.concatenate([self.etype, other.etype])
-        self._pending.extend(p + base for p in other._pending)
-        self._forest.merge_from(other._forest)
+        if other._roots is not None:
+            self._roots = (
+                other._roots
+                if self._roots is None
+                else join_roots(self._roots, other._roots)
+            )
         return self
 
     def absorb_resolving(self, other: "FlatCellGraph") -> int:
@@ -615,43 +646,43 @@ class FlatCellGraph:
         dst_status = self.status[self.dst[idx]]
         to_full = idx[dst_status == V_CORE]
         to_partial = idx[dst_status == V_NONCORE]
+        self._pending = np.concatenate([self.pending, to_full])
         self.etype[to_full] = int(EdgeType.FULL)
         self.etype[to_partial] = int(EdgeType.PARTIAL)
-        self._pending.extend(to_full.tolist())
         return int(to_full.size + to_partial.size)
 
     def reduce_full_edges(self) -> int:
         """Drop redundant full edges via the spanning forest (Sec 6.1.4).
 
-        Returns the number removed; connectivity is unchanged.
+        Tests the pending edges in order: exactly the edges a union-find
+        seeded with the forest and visiting them one by one would find
+        closing a cycle are removed, found in one Borůvka pass.  Returns
+        the number removed; connectivity is unchanged.
         """
-        if not self._pending:
+        pending = self.pending
+        self._pending = np.empty(0, dtype=np.intp)
+        if pending.size == 0:
             return 0
-        pending, self._pending = self._pending, []
-        full = int(EdgeType.FULL)
-        types = self.etype[pending].tolist()
-        srcs = self.src[pending].tolist()
-        dsts = self.dst[pending].tolist()
-        union = self._forest.union
-        drop: list[int] = []
-        for j, edge_index in enumerate(pending):
-            if types[j] != full:
-                continue  # stale pending entry
-            if not union(srcs[j], dsts[j]):
-                drop.append(edge_index)
-        if drop:
+        # Stale entries (no longer FULL) are skipped.
+        pending = pending[self.etype[pending] == int(EdgeType.FULL)]
+        kept, self._roots = spanning_forest_arrays(
+            self.roots, self.src[pending], self.dst[pending]
+        )
+        drop = pending[~kept]
+        if drop.size:
             keep = np.ones(self.src.size, dtype=bool)
             keep[drop] = False
             self.src = self.src[keep]
             self.dst = self.dst[keep]
             self.etype = self.etype[keep]
-        return len(drop)
+        return int(drop.size)
 
     def reduce_all_full_edges(self) -> int:
         """Full-scan edge reduction (see
-        :meth:`CellGraph.reduce_all_full_edges`)."""
-        self._forest = ArrayUnionFind(self.n_slots)
-        self._pending = np.nonzero(self.etype == int(EdgeType.FULL))[0].tolist()
+        :meth:`CellGraph.reduce_all_full_edges`): every FULL edge, in
+        ascending position, against the identity forest."""
+        self._pending = None
+        self._roots = None
         return self.reduce_full_edges()
 
     # ------------------------------------------------------------------
@@ -687,24 +718,30 @@ class FlatCellGraph:
                 count=count,
             )
             index_of = {key: i for i, key in enumerate(keys)}
-            flat._pending = [
-                index_of[key]
-                for key in graph._pending_full
-                if key in index_of
-            ]
+            flat._pending = np.array(
+                [
+                    index_of[key]
+                    for key in graph._pending_full
+                    if key in index_of
+                ],
+                dtype=np.intp,
+            )
         dict_forest = graph._full_forest
-        for item in list(dict_forest._parent):
-            root = dict_forest.find(item)
-            if root != item:
-                flat._forest.union(item, root)
+        items = list(dict_forest._parent)
+        if items:
+            flat._roots = link_roots(
+                flat.roots,
+                np.array(items, dtype=np.intp),
+                np.array([dict_forest.find(i) for i in items], dtype=np.intp),
+            )
         return flat
 
     def to_cell_graph(self) -> CellGraph:
         """Convert to the reference :class:`CellGraph` (int cell ids).
 
-        The union-find trees are rebuilt from connectivity, so the
-        round-trip preserves behaviour (which edges future reductions
-        remove) rather than the internal tree shape.
+        The hash union-find is rebuilt from the root array's
+        connectivity, so the round-trip preserves behaviour (which edges
+        future reductions remove) rather than the internal tree shape.
         """
         graph = CellGraph()
         graph.core = self.core
@@ -720,11 +757,10 @@ class FlatCellGraph:
             if edge_type is EdgeType.UNDETERMINED:
                 graph._undetermined_edges.add(key)
                 graph._undetermined_by_dst.setdefault(key[1], set()).add(key)
-        graph._pending_full = [(src[e], dst[e]) for e in self._pending]
-        parent = self._forest._parent
-        for item in range(len(parent)):
-            if parent[item] != item:
-                graph._full_forest.union(item, self._forest.find(item))
+        graph._pending_full = [(src[e], dst[e]) for e in self.pending.tolist()]
+        roots = self.roots
+        for item in np.flatnonzero(roots != np.arange(roots.size)).tolist():
+            graph._full_forest.union(item, int(roots[item]))
         return graph
 
     # ------------------------------------------------------------------

@@ -3,8 +3,11 @@
 Section 6.1.4 of the paper removes *redundant full edges* — edges that
 close a cycle between core cells — because a single path between cells
 suffices to express cluster connectivity.  A spanning forest over the
-undirected full edges keeps exactly the non-redundant ones and is
-computable in linear time with union-find.
+undirected full edges keeps exactly the non-redundant ones.  Over
+hashable cells it is one union-find pass in edge order
+(:func:`spanning_forest`); over the flat cell graph's integer slots it
+is a vectorized Borůvka weighted by edge order
+(:func:`spanning_forest_arrays`), which keeps the same edges.
 """
 
 from __future__ import annotations
@@ -13,10 +16,11 @@ from collections.abc import Hashable, Iterable
 
 import numpy as np
 
-from repro.graph.union_find import ArrayUnionFind, UnionFind
+from repro.graph.union_find import UnionFind, link_roots
 
 __all__ = [
     "spanning_forest",
+    "spanning_forest_arrays",
     "connected_components",
     "connected_components_arrays",
 ]
@@ -63,6 +67,50 @@ def connected_components(
     return uf.component_labels()
 
 
+def spanning_forest_arrays(
+    roots: np.ndarray, src: np.ndarray, dst: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which edges a sequential union-find would keep, found by Borůvka.
+
+    Columnar counterpart of :func:`spanning_forest`, starting from the
+    connectivity of the root array ``roots`` (see
+    :func:`~repro.graph.union_find.link_roots`) rather than from
+    singletons.  Edge ``i`` is kept exactly when a union-find seeded
+    with ``roots`` and fed the edges in input order would join two
+    components with it.
+
+    Weight every edge by its input position.  The edges that sequential
+    pass keeps are Kruskal's: the minimum spanning forest of the graph
+    with ``roots``' components contracted.  Its weights are distinct,
+    so that forest is unique, and Borůvka finds it too: every component
+    keeps its lowest-position incident edge, the components those edges
+    join merge, edges now inside one component drop out, and the rounds
+    repeat until no edge joins two components.  Each round at least
+    halves the number of components with an edge left.
+
+    Returns ``(kept, roots)``: a boolean mask over the edges and the
+    root array joined with the kept edges.
+    """
+    kept = np.zeros(src.size, dtype=bool)
+    cu, cv = roots[src], roots[dst]
+    live = np.flatnonzero(cu != cv)
+    cu, cv = cu[live], cv[live]
+    while live.size:
+        # Lowest live position incident to each component.
+        rank = np.arange(live.size)
+        first = np.full(roots.size, live.size)
+        np.minimum.at(first, cu, rank)
+        np.minimum.at(first, cv, rank)
+        chosen = np.zeros(live.size, dtype=bool)
+        chosen[first[first < live.size]] = True
+        kept[live[chosen]] = True
+        roots = link_roots(roots, cu[chosen], cv[chosen])
+        cu, cv = roots[cu], roots[cv]
+        alive = cu != cv
+        live, cu, cv = live[alive], cu[alive], cv[alive]
+    return kept, roots
+
+
 def connected_components_arrays(
     n_slots: int, src: np.ndarray, dst: np.ndarray
 ) -> np.ndarray:
@@ -74,20 +122,9 @@ def connected_components_arrays(
     of their smallest member (numerically, where
     :meth:`~repro.graph.union_find.UnionFind.component_labels` compares
     decimal strings) — the labeling depends only on connectivity, not
-    on which spanning-forest edges produced it.
+    on which spanning-forest edges produced it.  The joined root array
+    holds each slot's smallest component member, so the numbering is
+    the rank of its root.
     """
-    uf = ArrayUnionFind(n_slots)
-    for u, v in zip(src.tolist(), dst.tolist()):
-        uf.union(u, v)
-    roots = uf.roots()
-    if roots.size == 0:
-        return np.empty(0, dtype=np.int64)
-    _, first_index, inverse = np.unique(
-        roots, return_index=True, return_inverse=True
-    )
-    # np.unique orders components by root id; renumber by smallest
-    # member (= first occurrence index, since slots ascend).
-    order = np.argsort(first_index, kind="stable")
-    remap = np.empty(order.size, dtype=np.int64)
-    remap[order] = np.arange(order.size, dtype=np.int64)
-    return remap[inverse]
+    roots = link_roots(np.arange(n_slots), src, dst)
+    return np.unique(roots, return_inverse=True)[1]

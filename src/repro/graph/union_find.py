@@ -1,8 +1,12 @@
-"""Disjoint-set (union-find) with path compression and union by rank.
+"""Disjoint sets: a hash union-find and root arrays over dense slots.
 
-Works over arbitrary hashable items (cell ids are tuples of ints) and is
-used both for the spanning-forest edge reduction in Phase III and for the
-cluster merging of the region-split baselines.
+:class:`UnionFind` works over arbitrary hashable items with path
+compression and union by rank; it is the spanning forest of the
+reference ``CellGraph`` and merges the local clusters of the
+region-split baselines.  Over the dense integer universe of the flat
+cell graph a forest is a *root array* — each slot's component minimum —
+joined with whole-array passes by :func:`link_roots` and
+:func:`join_roots`.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import numpy as np
 
 T = TypeVar("T", bound=Hashable)
 
-__all__ = ["UnionFind", "ArrayUnionFind"]
+__all__ = ["UnionFind", "link_roots", "join_roots"]
 
 
 class UnionFind:
@@ -138,75 +142,40 @@ class UnionFind:
         return {item: rep_to_label[self.find(item)] for item in self._parent}
 
 
-class ArrayUnionFind:
-    """Union-find over the dense integer universe ``0 .. n_slots - 1``.
+def link_roots(roots: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Join the components of every pair ``(u[i], v[i])`` of a root array.
 
-    The columnar counterpart of :class:`UnionFind` used by
-    ``FlatCellGraph``: the vertex universe is fixed up front (the
-    dictionary's dense flat-row cell indices), the parent table is a flat
-    Python list walked with path halving, and the whole structure
-    round-trips to an ``int32`` array for npz-style task payloads.
-    Unlike :class:`UnionFind` there is no lazy item registration and no
-    rank bookkeeping — path halving alone keeps trees shallow for the
-    union/find mixes of the spanning-forest reduction.
+    A *root array* is the union-find of the dense universe
+    ``0 .. n_slots - 1`` that ``FlatCellGraph`` and the labeling use:
+    one entry per slot, the smallest member of that slot's component
+    (so ``np.arange(n_slots)`` is the forest of singletons).  Returns a
+    new root array for the joined connectivity; ``roots`` is unchanged.
+
+    Min-hooking plus pointer jumping: every pair whose roots differ
+    hooks the larger root onto the smallest root paired with it, then
+    each slot jumps to its parent's parent until nothing moves; repeat
+    while a pair still spans two components.  Hooks point down, so no
+    cycle forms and each final root is its component's minimum.
     """
-
-    __slots__ = ("_parent",)
-
-    def __init__(self, n_slots: int = 0) -> None:
-        self._parent: list[int] = list(range(int(n_slots)))
-
-    @property
-    def n_slots(self) -> int:
-        """Size of the vertex universe (absent vertices included)."""
-        return len(self._parent)
-
-    def find(self, item: int) -> int:
-        """Root of ``item``'s tree, halving the path on the way up."""
-        parent = self._parent
-        while parent[item] != item:
-            parent[item] = parent[parent[item]]
-            item = parent[item]
-        return item
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the sets of ``a`` and ``b``.
-
-        Returns ``True`` when the edge joined two distinct sets (a
-        spanning-forest edge), ``False`` when it was redundant.
-        """
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self._parent[rb] = ra
-        return True
-
-    def connected(self, a: int, b: int) -> bool:
-        """Whether ``a`` and ``b`` are in the same set."""
-        return self.find(a) == self.find(b)
-
-    def copy(self) -> "ArrayUnionFind":
-        """Independent copy with the same connectivity."""
-        clone = ArrayUnionFind.__new__(ArrayUnionFind)
-        clone._parent = list(self._parent)
-        return clone
-
-    def merge_from(self, other: "ArrayUnionFind") -> None:
-        """Union in all of ``other``'s connectivity (same universe)."""
-        if other.n_slots != self.n_slots:
-            raise ValueError(
-                f"universe mismatch: {self.n_slots} vs {other.n_slots}"
-            )
-        parent = other._parent
-        for item in range(len(parent)):
-            if parent[item] != item:
-                self.union(item, other.find(item))
-
-    def roots(self) -> np.ndarray:
-        """Fully-compressed root per slot as an ``int32`` array."""
-        parent = np.asarray(self._parent, dtype=np.int32)
+    parent = np.array(roots, dtype=np.intp)
+    ru, rv = parent[u], parent[v]
+    while True:
+        live = ru != rv
+        if not live.any():
+            return parent
+        ru, rv = ru[live], rv[live]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
         while True:
             grand = parent[parent]
             if np.array_equal(grand, parent):
-                return parent
+                break
             parent = grand
+        ru, rv = parent[ru], parent[rv]
+
+
+def join_roots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Root array of the union of two forests over one universe."""
+    if a.size != b.size:
+        raise ValueError(f"universe mismatch: {a.size} vs {b.size}")
+    moved = np.flatnonzero(b != np.arange(b.size))
+    return link_roots(a, moved, b[moved])

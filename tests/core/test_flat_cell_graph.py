@@ -8,6 +8,8 @@ graphs are the pipeline's own subgraphs converted with
 same integer universe.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -24,11 +26,8 @@ from repro.core.construction import QueryContext, build_cell_subgraph
 from repro.core.dictionary import FlatCellDictionary
 from repro.core.merging import merge_match, progressive_merge
 from repro.core.partitioning import pseudo_random_partition
-from repro.graph.spanning_forest import (
-    connected_components,
-    connected_components_arrays,
-)
-from repro.graph.union_find import ArrayUnionFind
+from repro.data.datasets import DATASETS
+from repro.graph.spanning_forest import connected_components
 
 
 def canonical(labels: dict) -> frozenset:
@@ -134,7 +133,7 @@ class TestConversions:
             # Pending FULL edges survive the round trip (as a set — the
             # dict keeps insertion order, the flat graph positions).
             pend = lambda g: {
-                (int(g.src[e]), int(g.dst[e])) for e in g._pending
+                (int(g.src[e]), int(g.dst[e])) for e in g.pending
             }
             assert pend(back) == pend(flat)
 
@@ -173,11 +172,11 @@ class TestFlatGraphUnits:
         g.add_core_cell(0)
         g.add_undetermined_cell(1)
         g.add_edge(0, 1, EdgeType.UNDETERMINED)
-        assert g._pending == []
+        assert g.pending.tolist() == []
         g.add_core_cell(1)
         g.add_edge(0, 1, EdgeType.FULL)
         assert g.num_edges == 1  # upgraded in place, not duplicated
-        assert g._pending == [0]
+        assert g.pending.tolist() == [0]
         assert g.reduce_full_edges() == 0  # first tree edge survives
 
     def test_absorb_rejects_shared_source(self):
@@ -230,35 +229,39 @@ class TestFlatGraphUnits:
         assert V_ABSENT < V_UNDETERMINED < V_NONCORE < V_CORE
 
 
-class TestArrayUnionFind:
-    def test_union_find_connected(self):
-        uf = ArrayUnionFind(5)
-        assert uf.union(0, 1)
-        assert uf.union(1, 2)
-        assert not uf.union(0, 2)  # cycle
-        assert uf.connected(0, 2)
-        assert not uf.connected(0, 3)
+def geolife_subgraphs(seed: int):
+    """Phase I + II on 3,000 GeoLife points: about 1,000 cells, enough
+    that a stored forest or pending list would show in a pickle."""
+    pts = DATASETS["GeoLife"].generator(3000, seed=seed)
+    geometry = CellGeometry(3.0, pts.shape[1], 0.01)
+    partitions = pseudo_random_partition(pts, geometry, 4, seed=seed)
+    context = QueryContext(FlatCellDictionary.from_points(pts, geometry))
+    return [build_cell_subgraph(p, context, 12).graph for p in partitions]
 
-    def test_merge_from_and_copy(self):
-        a = ArrayUnionFind(4)
-        a.union(0, 1)
-        b = a.copy()
-        b.union(2, 3)
-        assert not a.connected(2, 3)
-        a.merge_from(b)
-        assert a.connected(2, 3)
-        with pytest.raises(ValueError, match="universe"):
-            a.merge_from(ArrayUnionFind(5))
 
-    def test_components_match_hash_reference(self):
-        rng = np.random.default_rng(7)
-        n = 40
-        src = rng.integers(0, n, 60).astype(np.int32)
-        dst = rng.integers(0, n, 60).astype(np.int32)
-        labels = connected_components_arrays(n, src, dst)
-        ref = connected_components(
-            range(n), list(zip(src.tolist(), dst.tolist()))
-        )
-        assert canonical(dict(enumerate(labels.tolist()))) == canonical(ref)
-        # Canonical numbering: components ordered by smallest member.
-        assert labels[0] == 0
+class TestSubgraphShipping:
+    """A Phase II subgraph pickles as its four columns: its forest (the
+    identity) and pending list (its FULL edges, ascending) are derived."""
+
+    @pytest.mark.parametrize("seed", SEEDS[:2])
+    def test_pickle_is_the_columns(self, seed):
+        for graph in geolife_subgraphs(seed):
+            columns = sum(
+                a.nbytes
+                for a in (graph.status, graph.src, graph.dst, graph.etype)
+            )
+            assert len(pickle.dumps(graph)) <= columns + 1024
+
+    @pytest.mark.parametrize("seed", SEEDS[:2])
+    def test_tournament_over_unpickled_subgraphs(self, seed):
+        graphs = geolife_subgraphs(seed)
+        shipped = [pickle.loads(pickle.dumps(g)) for g in graphs]
+        final, stats = progressive_merge(graphs)
+        final_shipped, stats_shipped = progressive_merge(shipped)
+        for column in ("status", "src", "dst", "etype"):
+            np.testing.assert_array_equal(
+                getattr(final_shipped, column), getattr(final, column)
+            )
+        assert stats_shipped.edges_per_round == stats.edges_per_round
+        assert stats_shipped.resolved_per_round == stats.resolved_per_round
+        assert stats_shipped.removed_per_round == stats.removed_per_round

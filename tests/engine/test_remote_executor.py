@@ -263,7 +263,12 @@ class TestRemoteFitIdentity:
 
     def test_fit_through_recovery_loop_matches_serial(self, nodes, two_blobs):
         serial = RPDBSCAN(**FIT_PARAMS).fit(two_blobs)
-        policy = FaultPolicy(max_retries=2, backoff_base_s=0.01)
+        # Speculation off: a host stall past the straggler wait would
+        # launch a duplicate and show up in fault_events; speculation
+        # has its own test (test_faults.py::test_straggler_speculation).
+        policy = FaultPolicy(
+            max_retries=2, backoff_base_s=0.01, speculative=False
+        )
         with Engine("remote", nodes=nodes, fault_policy=policy) as engine:
             remote = RPDBSCAN(**FIT_PARAMS, engine=engine).fit(two_blobs)
         np.testing.assert_array_equal(remote.labels, serial.labels)
